@@ -42,8 +42,6 @@ def build_parser():
         ("solve-forward", "run the forward diffusion solve"),
         ("sensitivities", "extend the basis fields and solve the sensitivity equations"),
         ("assemble-fim", "assemble (and cache) the elementary FIM tensor"),
-        ("optimize", "solve the sensor activation design problem"),
-        ("analyze", "eigen-analysis and tables for the optimized design"),
         ("pipeline", "run every stage and write all outputs"),
     ]:
         p = sub.add_parser(name, help=doc)
@@ -131,7 +129,7 @@ def _run(args):
               f"x {tensor.n_basis} basis fields ({pipe.report.fim_cache})")
         return 0
 
-    if args.command in ("optimize", "analyze", "pipeline"):
+    if args.command == "pipeline":
         report = pipe.run()
         summary = report.oed_summary
         print(f"phi = {summary['phi']:.6e}  converged = {summary['converged']}  "

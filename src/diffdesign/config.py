@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -111,9 +112,18 @@ SCHEMA = {
                 "write_fields": {"type": "boolean"},
             },
         },
-        "seed": {"type": "integer"},
     },
 }
+
+# JSON numbers are finite: Python's json module still parses NaN and
+# Infinity, so the schema's "number" type excludes them explicitly
+_BASE_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=_BASE_TYPES.redefine(
+        "number", lambda checker, x: (_BASE_TYPES.is_type(x, "number")
+                                      and (isinstance(x, int) or math.isfinite(x)))),
+)(SCHEMA)
 
 
 @dataclass
@@ -161,7 +171,6 @@ class Config:
     design: DesignConfig = field(default_factory=DesignConfig)
     case: str = "run"
     write_fields: bool = True
-    seed: int = 0
 
     def instants(self):
         if self.design.instants is not None:
@@ -216,8 +225,7 @@ def load_config(source) -> Config:
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}") from err
 
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
+    errors = sorted(_VALIDATOR.iter_errors(raw), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
         raise ConfigError(f"{first.json_path}: {first.message}")
@@ -230,7 +238,6 @@ def load_config(source) -> Config:
     _fill(cfg.design, raw.get("design", {}))
     cfg.case = raw.get("case", cfg.case)
     cfg.write_fields = raw.get("output", {}).get("write_fields", cfg.write_fields)
-    cfg.seed = raw.get("seed", cfg.seed)
 
     try:
         cfg.geometry.validate()

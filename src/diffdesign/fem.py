@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshInversion, MissingTag
-from .mesh import Mesh
+from .mesh import Mesh, p1_gradients
 from .numerics import cg_solve
 from .shape import VelocityField
 
@@ -26,21 +26,6 @@ KAPPA_INC_DEFAULT = 1e-3
 U_DIRICHLET_DEFAULT = 1.0
 T_DEFAULT = 10.0
 N_STEPS_DEFAULT = 21
-
-
-def p1_gradients(nodes, triangles):
-    """Element-wise P1 basis gradients and triangle areas."""
-    pts = nodes[triangles]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    g = np.empty((len(triangles), 3, 2))
-    g[:, 1, 0] = e2[:, 1] / det
-    g[:, 1, 1] = -e2[:, 0] / det
-    g[:, 2, 0] = -e1[:, 1] / det
-    g[:, 2, 1] = e1[:, 0] / det
-    g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
-    return g, 0.5 * det
 
 
 @dataclass

@@ -12,14 +12,14 @@ sum in a fixed (sensor, instant) row-major enumeration.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import CacheMismatch, DimensionMismatch, InstantOutOfRange
-from .mesh import Mesh, Patch, extract_patch
-from .fem import p1_gradients
+from .mesh import Mesh, Patch, extract_patch, p1_gradients
 
 ALPHA0_DEFAULT = 0.01
 ALPHA1_DEFAULT = 1.0
@@ -171,7 +171,12 @@ _MAGIC = "fim-tensor"
 
 
 def save_tensor(tensor: FimTensor, path, config_hash=""):
-    """Write the tensor cache: one JSON header line + float64 LE payload."""
+    """Write the tensor cache: one JSON header line + float64 LE payload.
+
+    The bytes go to a process-private temporary file in the same directory,
+    which then replaces `path` in one step; readers see the old file or the
+    complete new one, never a partial write.
+    """
     header = {
         "format": _MAGIC,
         "version": 1,
@@ -181,10 +186,17 @@ def save_tensor(tensor: FimTensor, path, config_hash=""):
         "instants": [int(i) for i in tensor.instants],
         "config_hash": config_hash,
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(tensor.matrices, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(tensor.gramian, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
+            fh.write(np.ascontiguousarray(tensor.matrices, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(tensor.gramian, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_tensor(path, expect_hash=None) -> FimTensor:

@@ -764,6 +764,9 @@ class GeometrySpec:
                     raise ValueError(f"sensors {j} and {i} overlap")
         if self.dirichlet_side not in ("top", "bottom", "left", "right", "all"):
             raise ValueError(f"unknown dirichlet side {self.dirichlet_side!r}")
+        for i, span in enumerate(self.robin_spans):
+            if span.lo > span.hi:
+                raise ValueError(f"robin_spans[{i}]: lo {span.lo} exceeds hi {span.hi}")
 
 
 def _polygon_area(poly):
@@ -787,6 +790,25 @@ def _points_in_polygon(pts, poly):
 
 
 # -- tagged mesh --------------------------------------------------------------
+
+
+def p1_gradients(nodes, triangles):
+    """Element-wise P1 basis gradients and triangle areas.
+
+    ``g[e, i, :]`` is the gradient of the basis function of local node i on
+    element e; areas are signed (positive for counter-clockwise triangles).
+    """
+    pts = nodes[triangles]
+    e1 = pts[:, 1] - pts[:, 0]
+    e2 = pts[:, 2] - pts[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    g = np.empty((len(triangles), 3, 2))
+    g[:, 1, 0] = e2[:, 1] / det
+    g[:, 1, 1] = -e2[:, 0] / det
+    g[:, 2, 0] = -e1[:, 1] / det
+    g[:, 2, 1] = e1[:, 0] / det
+    g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
+    return g, 0.5 * det
 
 
 @dataclass

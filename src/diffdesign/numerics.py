@@ -1,15 +1,13 @@
 """Dense and sparse linear-algebra kernels shared by all solver stages.
 
 Dense symmetric matrices are plain ``numpy`` arrays (only the symmetric part
-is authoritative); sparse matrices are ``scipy.sparse`` CSR. The pencil
-solver reduces to standard form through a Cholesky factor of the metric and
-diagonalizes with cyclic Jacobi sweeps, which is robust and cheap at the
-matrix sizes this package produces (a few dozen basis fields at most).
+is authoritative); sparse matrices are ``scipy.sparse`` CSR. Dense
+factorizations and the symmetric pencil solver are LAPACK routines reached
+through ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +18,6 @@ from .errors import NoConvergence, NotPositiveDefinite
 
 #: pivot threshold, relative to the largest diagonal entry
 PIVOT_RTOL = 1e-14
-
-#: off-diagonal reduction target for Jacobi sweeps, relative to ||A||_F
-JACOBI_RTOL = 1e-12
-
-JACOBI_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -88,68 +81,20 @@ def cholesky_solve(lower, b):
     return solve_upper(lower.T, solve_lower(lower, b))
 
 
-def solve_spd_dense(a, rhs):
-    """Solve A x = rhs for SPD A via Cholesky factorization."""
-    return cholesky_solve(cholesky(a), rhs)
-
-
-def jacobi_eigensym(a, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius mass falls below
-    JACOBI_RTOL * ||A||_F; raises NoConvergence after `max_sweeps` sweeps.
-    """
-    a = symmetric_part(a).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    norm_a = float(np.linalg.norm(a))
-    if n == 1 or norm_a == 0.0:
-        return EigenDecomposition(np.diag(a).copy(), v)
-
-    diag_mask = ~np.eye(n, dtype=bool)
-    for sweep in range(max_sweeps + 1):
-        off = math.sqrt(float(np.sum(a[diag_mask] ** 2)))
-        if off <= JACOBI_RTOL * norm_a:
-            break
-        if sweep == max_sweeps:
-            raise NoConvergence(f"Jacobi sweeps exhausted (off={off:.3e})")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.1 * JACOBI_RTOL * norm_a / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], v[:, order])
-
-
 def generalized_eig(a, b):
-    """Solve the symmetric pencil A V = Lambda B V with SPD B.
+    """Solve the symmetric pencil A V = Lambda B V with SPD B (LAPACK sygvd).
 
-    Reduces to standard form with B = L L.T, C = L^-1 A L^-T, then applies
-    `jacobi_eigensym`. Returned eigenvectors are B-orthonormal.
+    B must pass the `cholesky` pivot floor, or NotPositiveDefinite is
+    raised. Eigenvalues ascend; the eigenvector columns are B-orthonormal.
     """
     a = symmetric_part(a)
-    lower = cholesky(b)
-    c = solve_lower(lower, solve_lower(lower, a).T)
-    # the reduction is symmetric up to round-off amplified by cond(B)
-    eig = jacobi_eigensym(0.5 * (c + c.T))
-    vectors = solve_upper(lower.T, eig.vectors)
-    return EigenDecomposition(eig.values, vectors)
+    b = symmetric_part(b)
+    cholesky(b)
+    try:
+        values, vectors = scipy.linalg.eigh(a, b, check_finite=False)
+    except scipy.linalg.LinAlgError as err:
+        raise NoConvergence(f"generalized eigensolver failed: {err}") from None
+    return EigenDecomposition(values, vectors)
 
 
 def cg_solve(a, rhs, tol=1e-10, x0=None, max_iter=None):

@@ -23,7 +23,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularInformation,
 )
-from .fim import FimTensor, combine, spatial_tensor
+from .fim import FimTensor, _weights_of, combine, spatial_tensor
 from .numerics import cholesky, cholesky_solve, generalized_eig, solve_lower
 
 #: reporting thresholds: weights below/above count as exactly zero/one
@@ -103,10 +103,6 @@ def a_criterion(upsilon, gramian) -> float:
     return float(np.trace(cholesky_solve(lower, gramian)))
 
 
-def _weights_of(design):
-    return np.asarray(getattr(design, "weights", design), dtype=float)
-
-
 class ReducedProblem:
     """Design problem in the metric's Cholesky coordinates.
 
@@ -161,14 +157,9 @@ class ReducedProblem:
         return self.phi_of(self.combine(weights))
 
     def gradient(self, weights):
+        """Partial derivatives of the A-criterion, -trace(G Y_kl), all <= 0."""
         kernel, _ = self.state_of(self.combine(weights))
         return -np.einsum("kij,ij->k", self.reduced, kernel)
-
-
-def gradient(design, tensor: FimTensor, gramian=None):
-    """Partial derivatives of the A-criterion, -trace(G Y_kl), all <= 0."""
-    w = _weights_of(design)
-    return ReducedProblem(tensor, gramian).gradient(w)
 
 
 def vertex_oracle(grad, budget):

@@ -25,7 +25,7 @@ from .errors import (
     MultipleLoops,
     OpenLoop,
 )
-from .mesh import Mesh
+from .mesh import Mesh, p1_gradients
 from .numerics import cg_solve
 
 LAME_LAMBDA_DEFAULT = 0.01
@@ -218,19 +218,7 @@ def _holdall_boundary_nodes(mesh):
 def _elasticity_matrix(mesh, elements, lam, mu):
     """P1 elasticity stiffness on the given elements, dofs interleaved (x,y)."""
     tris = mesh.triangles[elements]
-    pts = mesh.nodes[tris]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * det
-    # P1 gradients: g[e, i, :] = grad of basis function at local node i
-    g = np.empty((len(tris), 3, 2))
-    g[:, 1, 0] = e2[:, 1] / det
-    g[:, 1, 1] = -e2[:, 0] / det
-    g[:, 2, 0] = -e1[:, 1] / det
-    g[:, 2, 1] = e1[:, 0] / det
-    g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
-
+    g, area = p1_gradients(mesh.nodes, tris)
     dots = np.einsum("eik,ejk->eij", g, g)
     rows, cols, vals = [], [], []
     for i in range(3):
@@ -288,19 +276,10 @@ def velocity_gradients(field: VelocityField):
     """Element-wise Jacobians DV (constant per element) on the support."""
     mesh = field.mesh
     tris = mesh.triangles[field.support]
-    pts = mesh.nodes[tris]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    g = np.empty((len(tris), 3, 2))
-    g[:, 1, 0] = e2[:, 1] / det
-    g[:, 1, 1] = -e2[:, 0] / det
-    g[:, 2, 0] = -e1[:, 1] / det
-    g[:, 2, 1] = e1[:, 0] / det
-    g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
+    g, area = p1_gradients(mesh.nodes, tris)
     v = field.values[tris]                       # (e, 3, 2)
     jac = np.einsum("eia,eib->eab", v, g)        # DV[a,b] = dV_a / dx_b
-    return jac, 0.5 * det
+    return jac, area
 
 
 def gramian(fields):

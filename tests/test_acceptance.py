@@ -112,7 +112,7 @@ def test_criterion_3_gradient_check():
     for trial in range(20):
         tensor = synthetic_tensor(2, 3, 4, rng)
         w = 0.2 + 0.6 * rng.random(tensor.n_weights)
-        grad = oed.gradient(w, tensor)
+        grad = oed.ReducedProblem(tensor).gradient(w)
         step = 1e-6
         for idx in range(tensor.n_weights):
             wp, wm = w.copy(), w.copy()

@@ -227,6 +227,23 @@ class TestCli:
         code = cli.main(["pipeline", "--config", str(bad), "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
+    def test_non_finite_number_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for token in ("NaN", "Infinity"):
+            bad.write_text('{"physics": {"kappa_bulk": %s}}' % token)
+            code = cli.main(["generate-mesh", "--config", str(bad),
+                             "--out", str(tmp_path / "out")])
+            assert code == cli.EXIT_CONFIG
+            assert "$.physics.kappa_bulk" in capsys.readouterr().err
+
+    def test_inverted_robin_span_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, **{"geometry.robin_spans": [
+            {"side": "bottom", "lo": 0.8, "hi": 0.2, "beta": 10.0}]})
+        code = cli.main(["generate-mesh", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "$.geometry: robin_spans[0]" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         code = cli.main(["pipeline", "--config", str(tmp_path / "none.json"),
                          "--out", str(tmp_path)])

@@ -197,6 +197,22 @@ class TestTensorCache:
         with pytest.raises(CacheMismatch):
             fim.load_tensor(path, expect_hash="freshhash")
 
+    def test_save_is_atomic(self, problem, tmp_path):
+        # a write that fails midway leaves the previous file and no
+        # temporary file behind
+        _, _, _, _, tensor = problem
+        path = tmp_path / "tensor.fim"
+        fim.save_tensor(tensor, path, config_hash="abc123")
+        assert [p.name for p in tmp_path.iterdir()] == ["tensor.fim"]
+        before = path.read_bytes()
+        broken = fim.FimTensor(matrices=tensor.matrices,
+                               gramian=np.array([["not a number"]], dtype=object),
+                               instants=tensor.instants, alpha0=0.01, alpha1=1.0)
+        with pytest.raises(ValueError):
+            fim.save_tensor(broken, path, config_hash="other")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["tensor.fim"]
+
     def test_deterministic_bytes(self, problem, tmp_path):
         _, _, _, _, tensor = problem
         p1 = tmp_path / "a.fim"
@@ -213,10 +229,10 @@ class TestInformationMonotonicity:
         rng = np.random.default_rng(6)
         w = 0.5 + 0.5 * rng.random(tensor.n_weights)
         base = fim.combine(w, tensor)
-        phi = np.trace(numerics.solve_spd_dense(base, tensor.gramian))
+        phi = np.trace(numerics.cholesky_solve(numerics.cholesky(base), tensor.gramian))
         for idx in rng.integers(0, tensor.n_weights, 5):
             w2 = w.copy()
             w2[idx] += 1.0
-            phi2 = np.trace(numerics.solve_spd_dense(fim.combine(w2, tensor),
-                                                     tensor.gramian))
+            lower = numerics.cholesky(fim.combine(w2, tensor))
+            phi2 = np.trace(numerics.cholesky_solve(lower, tensor.gramian))
             assert phi2 <= phi + 1e-9 * abs(phi)

@@ -58,7 +58,7 @@ class TestGradient:
         tensor = fim.FimTensor(matrices=mats, gramian=np.eye(4),
                                instants=np.arange(3), alpha0=0.01, alpha1=1.0)
         w = np.full(6, 1.0 / 6.0)           # combine = I
-        grad = oed.gradient(w, tensor)
+        grad = oed.ReducedProblem(tensor).gradient(w)
         assert np.allclose(grad, -4.0)
 
     def test_zero_matrix_zero_component(self):
@@ -66,7 +66,7 @@ class TestGradient:
         tensor = synthetic_tensor(1, 3, 3, rng)
         tensor.matrices[0, 1] = 0.0
         w = np.array([1.0, 0.5, 1.0])
-        grad = oed.gradient(w, tensor)
+        grad = oed.ReducedProblem(tensor).gradient(w)
         assert grad[1] == 0.0
         assert np.all(grad <= 0.0)
 
@@ -76,7 +76,7 @@ class TestGradient:
         n = tensor.n_weights
         for _ in range(20):
             w = 0.2 + 0.6 * rng.random(n)
-            grad = oed.gradient(w, tensor)
+            grad = oed.ReducedProblem(tensor).gradient(w)
             step = 1e-6
             for idx in rng.integers(0, n, 3):
                 wp, wm = w.copy(), w.copy()
@@ -89,7 +89,7 @@ class TestGradient:
         rng = np.random.default_rng(3)
         tensor = synthetic_tensor(1, 2, 4, rng, rank=1)
         with pytest.raises(SingularInformation):
-            oed.gradient(np.array([1.0, 0.0]), tensor)
+            oed.ReducedProblem(tensor).gradient(np.array([1.0, 0.0]))
 
 
 class TestVertexOracle:
@@ -207,7 +207,7 @@ class TestOptimalityResidual:
         rng = np.random.default_rng(9)
         tensor = synthetic_tensor(1, 4, 3, rng)
         w = np.array([1.0, 0.4, 0.3, 0.0])
-        neg = -oed.gradient(w, tensor)
+        neg = -oed.ReducedProblem(tensor).gradient(w)
         xi, _ = oed.optimality_residual(w, tensor, budget=2)
         assert abs(xi - neg[1:3].mean()) <= 1e-12
 
@@ -322,7 +322,7 @@ class TestSimplicialDecomposition:
         tensor = synthetic_tensor(2, 3, 3, rng)
         for _ in range(5):
             w = 0.1 + 0.8 * rng.random(tensor.n_weights)
-            assert np.all(oed.gradient(w, tensor) <= 0.0)
+            assert np.all(oed.ReducedProblem(tensor).gradient(w) <= 0.0)
 
 
 class TestSolveSpatial:
