@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import jsonschema
 import numpy as np
 
+from . import fem, fim, oed, shape
 from .errors import ConfigError
 from .mesh import DEFAULT_INCLUSION_CONTROL, GeometrySpec, RobinSpan
 
@@ -116,38 +117,42 @@ SCHEMA = {
 }
 
 # JSON numbers are finite: Python's json module still parses NaN and
-# Infinity, so the schema's "number" type excludes them explicitly
+# Infinity, so the schema's "number" type excludes them explicitly. JSON
+# Schema counts 3.0 as an integer, but the pipeline needs Python ints (grid
+# sizes, counts, indices), so "integer" admits only those
 _BASE_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
 _VALIDATOR = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=_BASE_TYPES.redefine(
-        "number", lambda checker, x: (_BASE_TYPES.is_type(x, "number")
-                                      and (isinstance(x, int) or math.isfinite(x)))),
+    type_checker=_BASE_TYPES.redefine_many({
+        "number": lambda checker, x: (_BASE_TYPES.is_type(x, "number")
+                                      and (isinstance(x, int) or math.isfinite(x))),
+        "integer": lambda checker, x: isinstance(x, int) and not isinstance(x, bool),
+    }),
 )(SCHEMA)
 
 
 @dataclass
 class PhysicsConfig:
-    kappa_bulk: float = 0.1
-    kappa_inc: float = 1e-3
-    u_dirichlet: float = 1.0
-    horizon: float = 10.0
-    n_steps: int = 21
+    kappa_bulk: float = fem.KAPPA_BULK_DEFAULT
+    kappa_inc: float = fem.KAPPA_INC_DEFAULT
+    u_dirichlet: float = fem.U_DIRICHLET_DEFAULT
+    horizon: float = fem.T_DEFAULT
+    n_steps: int = fem.N_STEPS_DEFAULT
 
 
 @dataclass
 class BasisConfig:
     n_basis: int = 9
-    slope: float = 100.0
+    slope: float = shape.SLOPE_DEFAULT
     center_mode: str = "equidistant"
-    lame_lambda: float = 0.01
-    lame_mu: float = 0.495
+    lame_lambda: float = shape.LAME_LAMBDA_DEFAULT
+    lame_mu: float = shape.LAME_MU_DEFAULT
 
 
 @dataclass
 class NoiseConfig:
-    alpha0: float = 0.01
-    alpha1: float = 1.0
+    alpha0: float = fim.ALPHA0_DEFAULT
+    alpha1: float = fim.ALPHA1_DEFAULT
 
 
 @dataclass
@@ -156,10 +161,10 @@ class DesignConfig:
     mode: str = "space-time"
     optimize: bool = True
     instants: list | None = None
-    tol_outer: float = 1e-3
-    max_outer: int = 200
-    master_tol: float = 1e-4
-    master_max_iter: int = 2000
+    tol_outer: float = oed.TOL_OUTER_DEFAULT
+    max_outer: int = oed.MAX_OUTER_DEFAULT
+    master_tol: float = oed.MASTER_TOL_DEFAULT
+    master_max_iter: int = oed.MASTER_MAX_ITER_DEFAULT
 
 
 @dataclass
@@ -289,9 +294,11 @@ def config_hash(cfg: Config) -> str:
 
 
 def tensor_hash(cfg: Config) -> str:
-    """Hash of the fields the elementary FIM tensor depends on."""
+    """Hash of the fields the elementary FIM tensor depends on, and of the
+    version of the code that builds it."""
     full = canonical_dict(cfg)
     subset = {k: full[k] for k in ("geometry", "physics", "basis", "noise", "instants")}
+    subset["tensor_version"] = fim.TENSOR_VERSION
     return _sha(subset)
 
 

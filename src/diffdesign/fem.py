@@ -207,14 +207,8 @@ def displaced_mesh(mesh: Mesh, vfield: VelocityField, step: float) -> Mesh:
     """Copy of the mesh with nodes moved by step * V; connectivity and tags
     are unchanged. Raises MeshInversion when an element area turns
     non-positive."""
-    moved = mesh.nodes + step * vfield.values
-    pts = moved[mesh.triangles]
-    areas = 0.5 * ((pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
-                   - (pts[:, 1, 1] - pts[:, 0, 1]) * (pts[:, 2, 0] - pts[:, 0, 0]))
-    if areas.min() <= 0.0:
-        raise MeshInversion(f"displacement step {step} inverts an element")
-    return Mesh(
-        nodes=moved,
+    moved = Mesh(
+        nodes=mesh.nodes + step * vfield.values,
         triangles=mesh.triangles,
         regions=mesh.regions,
         seg_nodes=mesh.seg_nodes,
@@ -223,6 +217,9 @@ def displaced_mesh(mesh: Mesh, vfield: VelocityField, step: float) -> Mesh:
         seg_beta=mesh.seg_beta,
         patches=mesh.patches,
     )
+    if moved.areas().min() <= 0.0:
+        raise MeshInversion(f"displacement step {step} inverts an element")
+    return moved
 
 
 def fd_material_derivative_oracle(mesh: Mesh, vfield: VelocityField, tau_fd,

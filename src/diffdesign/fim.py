@@ -136,20 +136,24 @@ def _weights_of(design):
     return np.asarray(getattr(design, "weights", design), dtype=float)
 
 
-def combine(design, tensor: FimTensor):
-    """Combined FIM: the weighted sum of elementary matrices.
+def weighted_sum(weights, mats):
+    """sum_i weights[i] * mats[i] over the nonzero weights.
 
-    Zero weights are skipped; summation order is the fixed enumeration, so
-    the result is bitwise reproducible.
+    Summation order is the fixed enumeration, so the result is bitwise
+    reproducible.
     """
-    w = _weights_of(design)
-    flat = tensor.flat()
-    if w.shape != (len(flat),):
-        raise DimensionMismatch(f"got {w.shape[0]} weights for {len(flat)} matrices")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(mats),):
+        raise DimensionMismatch(f"got {w.shape[0]} weights for {len(mats)} matrices")
     nz = np.flatnonzero(w)
     if len(nz) == 0:
-        return np.zeros((tensor.n_basis, tensor.n_basis))
-    return np.tensordot(w[nz], flat[nz], axes=1)
+        return np.zeros(mats.shape[1:])
+    return np.tensordot(w[nz], mats[nz], axes=1)
+
+
+def combine(design, tensor: FimTensor):
+    """Combined FIM: the weighted sum of the elementary matrices."""
+    return weighted_sum(_weights_of(design), tensor.flat())
 
 
 def aggregate_spatial(tensor: FimTensor):
@@ -168,6 +172,10 @@ def spatial_tensor(tensor: FimTensor) -> FimTensor:
 # -- tensor cache -------------------------------------------------------------
 
 _MAGIC = "fim-tensor"
+#: version of the cached tensor: raise it whenever a code change alters the
+#: bytes of a tensor built from the same config (or the file layout), so the
+#: cache never serves a tensor built by other code
+TENSOR_VERSION = 1
 
 
 def save_tensor(tensor: FimTensor, path, config_hash=""):
@@ -179,7 +187,7 @@ def save_tensor(tensor: FimTensor, path, config_hash=""):
     """
     header = {
         "format": _MAGIC,
-        "version": 1,
+        "version": TENSOR_VERSION,
         "dims": [tensor.n_obs, tensor.n_time, tensor.n_basis],
         "alpha0": tensor.alpha0,
         "alpha1": tensor.alpha1,
@@ -200,12 +208,19 @@ def save_tensor(tensor: FimTensor, path, config_hash=""):
 
 
 def load_tensor(path, expect_hash=None) -> FimTensor:
-    """Read a tensor cache; raises CacheMismatch when the stored hash
-    differs from `expect_hash`."""
+    """Read a tensor cache; raises CacheMismatch when the file is not a
+    complete tensor cache of TENSOR_VERSION or its stored hash differs from
+    `expect_hash`."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        if header.get("format") != _MAGIC:
+        try:
+            header = json.loads(fh.readline().decode("ascii"))
+        except ValueError:
+            header = {}
+        if not isinstance(header, dict) or header.get("format") != _MAGIC:
             raise CacheMismatch(f"{path} is not a FIM tensor cache")
+        if header.get("version") != TENSOR_VERSION:
+            raise CacheMismatch(f"tensor cache version {header.get('version')!r} "
+                                f"is not {TENSOR_VERSION}")
         if expect_hash is not None and header["config_hash"] != expect_hash:
             raise CacheMismatch("tensor cache was built from a different config")
         n_obs, n_time, n_basis = header["dims"]

@@ -34,7 +34,11 @@ _ON_TOL = 1e-9
 
 
 def _orient(a, b, c):
-    """Twice the signed area of triangle (a, b, c); positive when CCW."""
+    """Twice the signed area of triangle (a, b, c); positive when CCW.
+
+    Coordinates are indexed ``[0]``/``[1]``, so a, b, c may be points or
+    (2, n) coordinate arrays of n triangles.
+    """
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
@@ -767,6 +771,11 @@ class GeometrySpec:
         for i, span in enumerate(self.robin_spans):
             if span.lo > span.hi:
                 raise ValueError(f"robin_spans[{i}]: lo {span.lo} exceeds hi {span.hi}")
+            # the Dirichlet condition owns its side; a span there would be
+            # dropped without a trace
+            if self.dirichlet_side in ("all", span.side):
+                raise ValueError(f"robin_spans[{i}]: side {span.side!r} is under "
+                                 f"the Dirichlet condition ({self.dirichlet_side!r})")
 
 
 def _polygon_area(poly):
@@ -801,7 +810,7 @@ def p1_gradients(nodes, triangles):
     pts = nodes[triangles]
     e1 = pts[:, 1] - pts[:, 0]
     e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    det = _orient(pts[:, 0].T, pts[:, 1].T, pts[:, 2].T)
     g = np.empty((len(triangles), 3, 2))
     g[:, 1, 0] = e2[:, 1] / det
     g[:, 1, 1] = -e2[:, 0] / det
@@ -825,9 +834,9 @@ class Mesh:
     patches: dict = field(default_factory=dict)  # name -> element id array
 
     def areas(self):
+        """Signed triangle areas, positive for counter-clockwise triangles."""
         p = self.nodes[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+        return 0.5 * _orient(p[:, 0].T, p[:, 1].T, p[:, 2].T)
 
     def centroids(self):
         return self.nodes[self.triangles].mean(axis=1)

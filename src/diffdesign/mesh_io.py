@@ -34,17 +34,6 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _triangle_physical(mesh, t):
-    if mesh.regions[t] == 1:
-        return _TRI_INCLUSION
-    for name, elems in mesh.patches.items():
-        if name.startswith("sensor:") and t in elems:
-            return _TRI_SENSOR_BASE + int(name.split(":", 1)[1])
-    if t in mesh.patches.get("holdall", ()):
-        return _TRI_ANNULUS
-    return _TRI_BULK
-
-
 def _line_physical(kind, ref):
     if kind == "dirichlet":
         return _LINE_DIRICHLET

@@ -23,7 +23,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularInformation,
 )
-from .fim import FimTensor, _weights_of, combine, spatial_tensor
+from .fim import FimTensor, combine, spatial_tensor, weighted_sum
 from .numerics import cholesky, cholesky_solve, generalized_eig, solve_lower
 
 #: reporting thresholds: weights below/above count as exactly zero/one
@@ -127,20 +127,15 @@ class ReducedProblem:
         return 0.5 * (c + c.T)
 
     def combine(self, weights):
-        w = np.asarray(weights, dtype=float)
-        nz = np.flatnonzero(w)
-        if len(nz) == 0:
-            return np.zeros_like(self.reduced[0])
-        return np.tensordot(w[nz], self.reduced[nz], axes=1)
+        return weighted_sum(weights, self.reduced)
 
     @staticmethod
     def phi_of(reduced_matrix):
+        """trace(C^-1); +inf when C is singular."""
         try:
-            low = cholesky(reduced_matrix)
-        except NotPositiveDefinite:
+            return ReducedProblem.state_of(reduced_matrix)[1]
+        except SingularInformation:
             return math.inf
-        inv = cholesky_solve(low, np.eye(len(reduced_matrix)))
-        return float(np.trace(inv))
 
     @staticmethod
     def state_of(reduced_matrix):
@@ -160,6 +155,28 @@ class ReducedProblem:
         """Partial derivatives of the A-criterion, -trace(G Y_kl), all <= 0."""
         kernel, _ = self.state_of(self.combine(weights))
         return -np.einsum("kij,ij->k", self.reduced, kernel)
+
+    def residual(self, weights, budget):
+        """Equilibration residuals (xi, violations) of the optimality condition.
+
+        xi is the mean negative derivative over fractional weights (falling
+        back to the budget-th largest when none are fractional); the
+        violation vector measures each index's deviation from its band.
+        """
+        w = np.asarray(weights, dtype=float)
+        neg = -self.gradient(w)
+        frac = (w > WEIGHT_ZERO_TOL) & (w < 1.0 - WEIGHT_ZERO_TOL)
+        if frac.any():
+            xi = float(neg[frac].mean())
+        else:
+            xi = float(np.sort(neg)[::-1][_integer_budget(budget) - 1])
+        violations = np.zeros_like(w)
+        ones = w >= 1.0 - WEIGHT_ZERO_TOL
+        zeros = w <= WEIGHT_ZERO_TOL
+        violations[ones] = np.maximum(0.0, xi - neg[ones])
+        violations[frac] = np.abs(neg[frac] - xi)
+        violations[zeros] = np.maximum(0.0, neg[zeros] - xi)
+        return xi, violations
 
 
 def vertex_oracle(grad, budget):
@@ -185,8 +202,11 @@ def _integer_budget(budget):
     return int(c)
 
 
-def _torsney(gen_reduced, gamma, tol, max_iter):
-    """Monotone multiplicative master update on reduced generator matrices.
+def torsney_master(gen_reduced, gamma, tol, max_iter):
+    """Barycentric weights solving the restricted master problem.
+
+    Torsney's monotone multiplicative update on the reduced generator
+    matrices `gen_reduced`, started from the barycentric weights `gamma`.
 
     Returns (gamma, converged). Convergence: slopes equilibrate within
     `tol` over the significant support (gamma > SUPPORT_EPS) while every
@@ -239,55 +259,6 @@ def _torsney(gen_reduced, gamma, tol, max_iter):
     return gamma, False
 
 
-def torsney_master(vertices, tensor: FimTensor, gramian=None,
-                   tol=MASTER_TOL_DEFAULT, max_iter=MASTER_MAX_ITER_DEFAULT,
-                   gamma0=None):
-    """Barycentric weights solving the restricted master problem.
-
-    `vertices` is a sequence of designs (rows); the update multiplies each
-    weight by its normalized negative derivative, rejecting and damping any
-    step that would increase the criterion.
-    """
-    vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if gamma0 is None:
-        gamma0 = np.full(len(vertices), 1.0 / len(vertices))
-    if len(vertices) == 1:
-        return np.array([1.0])
-    problem = ReducedProblem(tensor, gramian)
-    gen_reduced = np.stack([problem.combine(v) for v in vertices])
-    gamma, _ = _torsney(gen_reduced, gamma0, tol, max_iter)
-    return gamma
-
-
-def optimality_residual(design, tensor: FimTensor, gramian=None, budget=None,
-                        problem: ReducedProblem | None = None):
-    """Equilibration residuals of the design's optimality condition.
-
-    xi is the mean negative derivative over fractional weights (falling back
-    to the budget-th largest when none are fractional); the violation vector
-    measures each index's deviation from its band.
-    """
-    w = _weights_of(design)
-    c = budget if budget is not None else getattr(design, "budget", None)
-    if c is None:
-        c = w.sum()
-    if problem is None:
-        problem = ReducedProblem(tensor, gramian)
-    neg = -problem.gradient(w)
-    frac = (w > WEIGHT_ZERO_TOL) & (w < 1.0 - WEIGHT_ZERO_TOL)
-    if frac.any():
-        xi = float(neg[frac].mean())
-    else:
-        xi = float(np.sort(neg)[::-1][_integer_budget(c) - 1])
-    violations = np.zeros_like(w)
-    ones = w >= 1.0 - WEIGHT_ZERO_TOL
-    zeros = w <= WEIGHT_ZERO_TOL
-    violations[ones] = np.maximum(0.0, xi - neg[ones])
-    violations[frac] = np.abs(neg[frac] - xi)
-    violations[zeros] = np.maximum(0.0, neg[zeros] - xi)
-    return xi, violations
-
-
 def round_design(design: Design) -> Design:
     """Binary design with ones at the budget's worth of largest weights."""
     c = _integer_budget(design.budget)
@@ -298,21 +269,26 @@ def round_design(design: Design) -> Design:
                   n_time=design.n_time, provenance="rounded")
 
 
-def evaluate_design(design, tensor: FimTensor, gramian=None) -> OEDResult:
-    """Non-optimized evaluation (criterion, residuals, eigenpairs) of a design."""
-    b = tensor.gramian if gramian is None else gramian
-    w = _weights_of(design)
-    problem = ReducedProblem(tensor, b)
-    phi = problem.phi(w)
-    xi, violations = optimality_residual(design, tensor, b, problem=problem)
-    eig = generalized_eig(combine(w, tensor), b)
+def _result(problem: ReducedProblem, design: Design, w, phi_history,
+            dw_history=(), converged=False, n_outer=0, n_vertices=0) -> OEDResult:
+    """Certify `design` and run the eigen-analysis of the information matrix
+    at the weights `w`; phi is the last entry of `phi_history`."""
+    xi, violations = problem.residual(design.weights, design.budget)
+    eig = generalized_eig(combine(w, problem.tensor), problem.gramian)
     return OEDResult(
-        design=design, phi=phi,
-        phi_history=np.array([phi]), dw_history=np.array([]),
+        design=design, phi=phi_history[-1],
+        phi_history=np.asarray(phi_history), dw_history=np.asarray(dw_history),
         xi=xi, violations=violations,
         eigenvalues=eig.values, eigenvectors=eig.vectors,
-        counts=design.counts(), converged=False, n_outer=0, n_vertices=0,
+        counts=design.counts(), converged=converged,
+        n_outer=n_outer, n_vertices=n_vertices,
     )
+
+
+def evaluate_design(design: Design, tensor: FimTensor, gramian=None) -> OEDResult:
+    """Non-optimized evaluation (criterion, residuals, eigenpairs) of a design."""
+    problem = ReducedProblem(tensor, gramian)
+    return _result(problem, design, design.weights, [problem.phi(design.weights)])
 
 
 def simplicial_decomposition(tensor: FimTensor, budget,
@@ -333,7 +309,6 @@ def simplicial_decomposition(tensor: FimTensor, budget,
         raise ValueError(f"budget must lie strictly between 0 and {n_idx}")
 
     problem = ReducedProblem(tensor, gramian)
-    b = problem.gramian
     # the index-level certificate cannot be tighter than the master's
     # slope-equilibration band
     master_tol = min(master_tol, 0.1 * tol_outer)
@@ -349,7 +324,6 @@ def simplicial_decomposition(tensor: FimTensor, budget,
 
     phi_history = [phi]
     dw_history = []
-    xi, violations = math.nan, None
     converged = False
     n_outer = 0
 
@@ -376,8 +350,8 @@ def simplicial_decomposition(tensor: FimTensor, budget,
             gen_mats.append(vertex_mat)
             gamma = np.concatenate([(1.0 - delta) * gamma, [delta]])
 
-        gamma, master_done = _torsney(np.stack(gen_mats), gamma,
-                                      master_tol, master_max_iter)
+        gamma, master_done = torsney_master(np.stack(gen_mats), gamma,
+                                            master_tol, master_max_iter)
 
         # drop generators whose barycentric weight has vanished
         keep = gamma > PRUNE_TOL
@@ -396,7 +370,7 @@ def simplicial_decomposition(tensor: FimTensor, budget,
         design = Design(weights=np.clip(w, 0.0, 1.0), budget=float(c),
                         n_obs=tensor.n_obs, n_time=tensor.n_time,
                         provenance="optimized")
-        xi, violations = optimality_residual(design, tensor, b, problem=problem)
+        xi, violations = problem.residual(design.weights, design.budget)
         if violations.max() <= tol_outer * xi:
             converged = True
             break
@@ -405,18 +379,9 @@ def simplicial_decomposition(tensor: FimTensor, budget,
     else:
         raise MaxIterations(f"no certificate after {max_outer} outer iterations")
 
-    design = Design(weights=np.clip(w, 0.0, 1.0), budget=float(c),
-                    n_obs=tensor.n_obs, n_time=tensor.n_time,
-                    provenance="optimized")
-    eig = generalized_eig(combine(w, tensor), b)
-    return OEDResult(
-        design=design, phi=phi,
-        phi_history=np.asarray(phi_history), dw_history=np.asarray(dw_history),
-        xi=xi, violations=violations,
-        eigenvalues=eig.values, eigenvectors=eig.vectors,
-        counts=design.counts(), converged=converged,
-        n_outer=n_outer, n_vertices=int(np.sum(is_vertex)),
-    )
+    # the eigen-analysis sees the unclipped weights
+    return _result(problem, design, w, phi_history, dw_history, converged,
+                   n_outer, int(np.sum(is_vertex)))
 
 
 def solve_spatial(tensor: FimTensor, budget, **kwargs) -> OEDResult:

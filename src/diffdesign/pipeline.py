@@ -22,10 +22,7 @@ from . import fem, fim, mesh_io, oed, shape
 from .config import Config, config_hash, tensor_hash
 from .errors import CacheMismatch
 from .mesh import build_mesh
-
-
-def _fmt(x):
-    return repr(float(x))
+from .mesh_io import _fmt
 
 
 @dataclass
@@ -118,8 +115,8 @@ class Pipeline:
                         self.report.fim_cache = "hit"
                         self._info(f"[{self.config.case}] fim: cache hit ({cache_path.name})")
                         return tensor
-                    except CacheMismatch:
-                        pass
+                    except CacheMismatch as err:
+                        self._info(f"[{self.config.case}] fim: cache rejected ({err})")
             sensors = fim.build_sensor_models(self.mesh(),
                                               alpha0=self.config.noise.alpha0,
                                               alpha1=self.config.noise.alpha1)

@@ -25,7 +25,7 @@ from .errors import (
     MultipleLoops,
     OpenLoop,
 )
-from .mesh import Mesh, p1_gradients
+from .mesh import Mesh, _polygon_area, p1_gradients
 from .numerics import cg_solve
 
 LAME_LAMBDA_DEFAULT = 0.01
@@ -102,9 +102,7 @@ def interface_from_mesh(mesh: Mesh) -> InterfaceCurve:
 
     vertices = np.asarray(loop, dtype=int)
     pts = mesh.nodes[vertices]
-    signed = 0.5 * np.sum(pts[:, 0] * np.roll(pts[:, 1], -1)
-                          - np.roll(pts[:, 0], -1) * pts[:, 1])
-    if signed < 0.0:
+    if _polygon_area(pts) < 0.0:
         vertices = np.concatenate([[vertices[0]], vertices[1:][::-1]])
         pts = mesh.nodes[vertices]
 

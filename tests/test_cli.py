@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from diffdesign import cli, config, pipeline
+from diffdesign import cli, config, fim, pipeline
 from diffdesign.errors import ConfigError
+
+from test_fim import set_cache_version
 
 # small, fast problem: coarse mesh, 2 sensors, few steps, tiny basis
 FAST_CONFIG = {
@@ -137,6 +139,20 @@ class TestPipeline:
                                       cache_dir=out / "cache", log=False)
         assert rerun.fim_cache == "hit"
 
+    def test_stale_cache_version_rebuilt_and_logged(self, fast_run, tmp_path, capsys):
+        out, cfg, _ = fast_run
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (stored,) = (out / "cache").glob("fim-*.tensor")
+        stale = cache / stored.name
+        stale.write_bytes(stored.read_bytes())
+        set_cache_version(stale, fim.TENSOR_VERSION + 1)
+        pipe = pipeline.Pipeline(cfg, tmp_path / "out", cache_dir=cache)
+        pipe.tensor()
+        assert pipe.report.fim_cache == "miss"
+        assert "fim: cache rejected (tensor cache version" in capsys.readouterr().err
+        assert fim.load_tensor(stale).matrices.shape == pipe.tensor().matrices.shape
+
     def test_deterministic_outputs(self, fast_run, tmp_path):
         out, cfg, _ = fast_run
         other = tmp_path / "second"
@@ -243,6 +259,23 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         assert "$.geometry: robin_spans[0]" in capsys.readouterr().err
+
+    def test_float_valued_integer_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, **{"physics.n_steps": 3.0})
+        code = cli.main(["generate-mesh", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "$.physics.n_steps" in capsys.readouterr().err
+
+    def test_robin_span_on_dirichlet_side_exit_code(self, tmp_path, capsys):
+        span = {"side": "bottom", "lo": 0.0, "hi": 0.5, "beta": 10.0}
+        for side in ("bottom", "all"):
+            cfg_path = write_config(tmp_path, **{"geometry.dirichlet_side": side,
+                                                 "geometry.robin_spans": [span]})
+            code = cli.main(["generate-mesh", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "out")])
+            assert code == cli.EXIT_CONFIG
+            assert "$.geometry: robin_spans[0]" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         code = cli.main(["pipeline", "--config", str(tmp_path / "none.json"),

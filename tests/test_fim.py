@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,14 @@ def problem():
     sensors = fim.build_sensor_models(m)
     tensor = fim.elementary_fims(sens, sensors, range(7), gram)
     return m, sensors, sens, gram, tensor
+
+
+def set_cache_version(path, version):
+    """Rewrite the version field in the header of a tensor cache file."""
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["version"] = version
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
 
 
 class TestPrecisionRoot:
@@ -196,6 +206,23 @@ class TestTensorCache:
         fim.save_tensor(tensor, path, config_hash="abc123")
         with pytest.raises(CacheMismatch):
             fim.load_tensor(path, expect_hash="freshhash")
+
+    def test_other_version_rejected(self, problem, tmp_path):
+        _, _, _, _, tensor = problem
+        path = tmp_path / "tensor.fim"
+        fim.save_tensor(tensor, path, config_hash="abc123")
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["version"] \
+            == fim.TENSOR_VERSION
+        set_cache_version(path, fim.TENSOR_VERSION + 1)
+        with pytest.raises(CacheMismatch, match="version"):
+            fim.load_tensor(path, expect_hash="abc123")
+
+    def test_unreadable_header_rejected(self, tmp_path):
+        path = tmp_path / "tensor.fim"
+        for junk in (b"", b"\xff\xfe\n", b"[1, 2]\n", b"not json\n"):
+            path.write_bytes(junk)
+            with pytest.raises(CacheMismatch, match="not a FIM tensor cache"):
+                fim.load_tensor(path, expect_hash="abc123")
 
     def test_save_is_atomic(self, problem, tmp_path):
         # a write that fails midway leaves the previous file and no

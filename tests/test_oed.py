@@ -26,6 +26,17 @@ def phi_of(w, tensor):
     return oed.a_criterion(fim.combine(w, tensor), tensor.gramian)
 
 
+def master(vertices, tensor, gamma0=None, tol=oed.MASTER_TOL_DEFAULT,
+           max_iter=oed.MASTER_MAX_ITER_DEFAULT):
+    """Master-problem weights over `vertices`, from uniform unless given."""
+    problem = oed.ReducedProblem(tensor)
+    if gamma0 is None:
+        gamma0 = np.full(len(vertices), 1.0 / len(vertices))
+    gen_reduced = np.stack([problem.combine(v) for v in vertices])
+    gamma, _ = oed.torsney_master(gen_reduced, gamma0, tol, max_iter)
+    return gamma
+
+
 class TestACriterion:
     def test_identity_pair(self):
         assert oed.a_criterion(np.eye(9), np.eye(9)) == 9.0
@@ -120,7 +131,7 @@ class TestTorsneyMaster:
     def test_single_vertex(self):
         rng = np.random.default_rng(5)
         tensor = synthetic_tensor(1, 3, 2, rng)
-        gamma = oed.torsney_master(np.array([[1.0, 1.0, 0.0]]), tensor)
+        gamma = master(np.array([[1.0, 1.0, 0.0]]), tensor)
         assert np.array_equal(gamma, [1.0])
 
     def test_symmetric_pair_fixpoint(self):
@@ -132,15 +143,14 @@ class TestTorsneyMaster:
                                gramian=np.eye(3), instants=np.array([0]),
                                alpha0=0.01, alpha1=1.0)
         vertices = np.array([[1.0, 0.0], [0.0, 1.0]])
-        gamma = oed.torsney_master(vertices, tensor,
-                                   gamma0=np.array([0.5, 0.5]))
+        gamma = master(vertices, tensor, gamma0=np.array([0.5, 0.5]))
         assert np.allclose(gamma, [0.5, 0.5])
 
     def test_three_vertices_match_grid(self):
         rng = np.random.default_rng(7)
         tensor = synthetic_tensor(1, 3, 2, rng, rank=2)
         vertices = np.eye(3)
-        gamma = oed.torsney_master(vertices, tensor, tol=1e-10, max_iter=20000)
+        gamma = master(vertices, tensor, tol=1e-10, max_iter=20000)
         w = gamma @ vertices
         phi = phi_of(w, tensor)
 
@@ -170,7 +180,7 @@ class TestTorsneyMaster:
         ])
         gamma0 = np.array([0.8, 0.1, 0.1])
         phi0 = phi_of(gamma0 @ vertices, tensor)
-        gamma = oed.torsney_master(vertices, tensor, gamma0=gamma0)
+        gamma = master(vertices, tensor, gamma0=gamma0)
         assert phi_of(gamma @ vertices, tensor) <= phi0 * (1.0 + 1e-12)
 
 
@@ -199,7 +209,7 @@ class TestOptimalityResidual:
         tensor = fim.FimTensor(matrices=mats, gramian=np.eye(3),
                                instants=np.arange(4), alpha0=0.01, alpha1=1.0)
         w = np.full(4, 0.5)
-        xi, viol = oed.optimality_residual(w, tensor, budget=2)
+        xi, viol = oed.ReducedProblem(tensor).residual(w, 2)
         assert viol.max() <= 1e-12
         assert xi > 0.0
 
@@ -208,7 +218,7 @@ class TestOptimalityResidual:
         tensor = synthetic_tensor(1, 4, 3, rng)
         w = np.array([1.0, 0.4, 0.3, 0.0])
         neg = -oed.ReducedProblem(tensor).gradient(w)
-        xi, _ = oed.optimality_residual(w, tensor, budget=2)
+        xi, _ = oed.ReducedProblem(tensor).residual(w, 2)
         assert abs(xi - neg[1:3].mean()) <= 1e-12
 
 
