@@ -17,9 +17,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshInversion, MissingTag
-from .mesh import Mesh, p1_gradients
+from .mesh import Mesh, assemble_p1, p1_gradients, p1_stiffness
 from .numerics import cg_solve
-from .shape import VelocityField
+from .shape import VelocityField, velocity_gradients
 
 KAPPA_BULK_DEFAULT = 1e-1
 KAPPA_INC_DEFAULT = 1e-3
@@ -83,16 +83,9 @@ def assemble_heat(mesh: Mesh, kappa_bulk=KAPPA_BULK_DEFAULT,
     g, area = p1_gradients(nodes, tris)
     kappa = np.where(mesh.regions == 1, kappa_inc, kappa_bulk)
 
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-
     local_mass = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
-    mass_vals = (area[:, None, None] * local_mass[None, :, :]).reshape(len(tris), 9)
-    mass = sp.coo_matrix((mass_vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-    stiff_local = np.einsum("e,eia,eja->eij", kappa * area, g, g)
-    stiffness = sp.coo_matrix((stiff_local.reshape(len(tris), 9).ravel(),
-                               (rows, cols)), shape=(n, n)).tocsr()
+    mass = assemble_p1(tris, area[:, None, None] * local_mass[None, :, :], n)
+    stiffness = p1_stiffness(tris, g, kappa * area, n)
 
     seg_mask = mesh.seg_kind == "robin"
     segs = mesh.seg_nodes[seg_mask]
@@ -120,6 +113,28 @@ def assemble_heat(mesh: Mesh, kappa_bulk=KAPPA_BULK_DEFAULT,
                          dirichlet_value=float(u_d), source=source)
 
 
+def _march(ops: HeatOperators, tau, n_steps, load, dirichlet_value, tol):
+    """Backward-Euler march from a zero state.
+
+    Step m solves A_ff x = (M u_{m-1})[free] + load(m) on the free nodes,
+    warm-started from the previous step, and sets the Dirichlet nodes to
+    `dirichlet_value`; returns the (n_steps + 1, n) nodal values.
+    """
+    n = len(ops.mesh.nodes)
+    free, a_ff, _ = ops.reduced_system(tau)
+    values = np.zeros((n_steps + 1, n))
+    u = np.zeros(n)
+    guess = None
+    for m in range(1, n_steps + 1):
+        rhs = (ops.mass @ u)[free] + load(m)
+        guess = cg_solve(a_ff, rhs, tol=tol, x0=guess)
+        u = np.zeros(n)
+        u[free] = guess
+        u[ops.dirichlet_nodes] = dirichlet_value
+        values[m] = u
+    return values
+
+
 def solve_forward(ops: HeatOperators, horizon=T_DEFAULT,
                   n_steps=N_STEPS_DEFAULT, tol=1e-10) -> Trajectory:
     """Backward-Euler solve of the forward problem from a zero initial state.
@@ -128,38 +143,27 @@ def solve_forward(ops: HeatOperators, horizon=T_DEFAULT,
     keeps the (incompatible) zeros of the initial condition.
     """
     tau = horizon / n_steps
-    n = len(ops.mesh.nodes)
-    free, a_ff, a_fc = ops.reduced_system(tau)
-    lift = a_fc @ np.full(len(ops.dirichlet_nodes), ops.dirichlet_value)
-
-    values = np.zeros((n_steps + 1, n))
+    free, _, a_fc = ops.reduced_system(tau)
     times = np.linspace(0.0, horizon, n_steps + 1)
-    u = np.zeros(n)
-    guess = None
-    for m in range(1, n_steps + 1):
-        rhs = (ops.mass @ u)[free] - lift
-        if ops.source is not None:
-            rhs = rhs + tau * (ops.mass @ np.asarray(ops.source(times[m])))[free]
-        guess = cg_solve(a_ff, rhs, tol=tol, x0=guess)
-        u = np.zeros(n)
-        u[free] = guess
-        u[ops.dirichlet_nodes] = ops.dirichlet_value
-        values[m] = u
+    neg_lift = -(a_fc @ np.full(len(ops.dirichlet_nodes), ops.dirichlet_value))
+
+    def load(m):
+        if ops.source is None:
+            return neg_lift
+        return neg_lift + tau * (ops.mass @ np.asarray(ops.source(times[m])))[free]
+
+    values = _march(ops, tau, n_steps, load, ops.dirichlet_value, tol)
     return Trajectory(times=times, values=values)
 
 
 def _sensitivity_element_data(ops, vfield):
-    mesh = ops.mesh
-    support = vfield.support
-    tris = mesh.triangles[support]
-    g, area = p1_gradients(mesh.nodes, tris)
-    v = vfield.values[tris]
-    jac = np.einsum("eia,eib->eab", v, g)          # DV
+    tris = ops.mesh.triangles[vfield.support]
+    jac, g, area = velocity_gradients(vfield)      # DV
     div = jac[:, 0, 0] + jac[:, 1, 1]
     a_v = jac + np.transpose(jac, (0, 2, 1))
     a_v[:, 0, 0] -= div
     a_v[:, 1, 1] -= div
-    kappa = ops.kappa[support]
+    kappa = ops.kappa[vfield.support]
     return tris, g, area, a_v, div, kappa
 
 
@@ -185,21 +189,14 @@ def solve_sensitivity(ops: HeatOperators, forward: Trajectory,
     """
     tau = forward.tau
     n = len(ops.mesh.nodes)
-    free, a_ff, _ = ops.reduced_system(tau)
-    tris, g, area, a_v, div, kappa = _sensitivity_element_data(ops, vfield)
+    free, _, _ = ops.reduced_system(tau)
+    data = _sensitivity_element_data(ops, vfield)
 
-    n_steps = len(forward.times) - 1
-    values = np.zeros((n_steps + 1, n))
-    du = np.zeros(n)
-    guess = None
-    for m in range(1, n_steps + 1):
-        load = _sensitivity_rhs(forward.values[m], forward.values[m - 1], tau,
-                                tris, g, area, a_v, div, kappa, n)
-        rhs = (ops.mass @ du)[free] + tau * load[free]
-        guess = cg_solve(a_ff, rhs, tol=tol, x0=guess)
-        du = np.zeros(n)
-        du[free] = guess
-        values[m] = du
+    def load(m):
+        return tau * _sensitivity_rhs(forward.values[m], forward.values[m - 1],
+                                      tau, *data, n)[free]
+
+    values = _march(ops, tau, len(forward.times) - 1, load, 0.0, tol)
     return Trajectory(times=forward.times.copy(), values=values)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CacheMismatch, DimensionMismatch, InstantOutOfRange
-from .mesh import Mesh, Patch, extract_patch, p1_gradients
+from .mesh import Mesh, Patch, extract_patch, p1_gradients, p1_stiffness
 
 ALPHA0_DEFAULT = 0.01
 ALPHA1_DEFAULT = 1.0
@@ -48,10 +48,7 @@ def build_sensor_model(mesh: Mesh, sensor_id: int,
     tris = patch.local_triangles()
     g, area = p1_gradients(mesh.nodes[patch.nodes], tris)
     n = len(patch.nodes)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    vals = np.einsum("e,eia,eja->eij", area, g, g).reshape(len(tris), 9).ravel()
-    stiffness = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    stiffness = p1_stiffness(tris, g, area, n)
     lumped = np.zeros(n)
     np.add.at(lumped, tris.ravel(), np.repeat(area / 3.0, 3))
     return SensorModel(patch=patch, alpha0=alpha0, alpha1=alpha1,

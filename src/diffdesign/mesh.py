@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     ConstraintCrossing,
@@ -271,25 +272,17 @@ class Triangulation:
             if len(owners) != 2:
                 continue
             t1, t2 = owners
-            a, b, c = self.tri_v[t1]
+            c = next(w for w in self.tri_v[t1] if w not in key)
             d = next(w for w in self.tri_v[t2] if w not in key)
-            if _in_circumcircle(self.points[a], self.points[b], self.points[c],
+            if _in_circumcircle(*(self.points[w] for w in self.tri_v[t1]),
                                 self.points[d]) <= 1e-13:
                 continue
             if not self._flippable(*key):
                 continue
             u, v = key
             self._flip(u, v)
-            for w in (u, v):
-                for x in self._flip_ring(w, key):
-                    queue.append(x)
-
-    def _flip_ring(self, w, flipped_key):
-        ring = []
-        for key, owners in self.edge_tris.items():
-            if w in key and key != flipped_key:
-                ring.append(key)
-        return ring
+            # only the outer edges of the flipped quad can turn illegal
+            queue.extend(_edge_key(x, y) for x, y in ((u, c), (c, v), (v, d), (d, u)))
 
 
 def bowyer_watson(points):
@@ -394,16 +387,13 @@ def _validate_no_crossings(pts, segs):
     if len(segs) < 2:
         return
     seg = np.asarray(segs, dtype=int)
-    a = pts[seg[:, 0]]
-    b = pts[seg[:, 1]]
-
-    def orient_all(p1, p2, q):
-        return ((p2[:, None, 0] - p1[:, None, 0]) * (q[None, :, 1] - p1[:, None, 1])
-                - (p2[:, None, 1] - p1[:, None, 1]) * (q[None, :, 0] - p1[:, None, 0]))
+    a = pts[seg[:, 0]].T
+    b = pts[seg[:, 1]].T
 
     eps = 1e-14
-    d1 = orient_all(a, b, a)  # d1[i, j] = orient(a_i, b_i, a_j)
-    d2 = orient_all(a, b, b)
+    # d1[i, j] = orient(a_i, b_i, a_j), d2[i, j] = orient(a_i, b_i, b_j)
+    d1 = _orient(a[:, :, None], b[:, :, None], a[:, None, :])
+    d2 = _orient(a[:, :, None], b[:, :, None], b[:, None, :])
     straddles = ((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))
     proper = straddles & straddles.T
     shared = (
@@ -494,14 +484,13 @@ def _tri_geometry(tr, tid):
     la = math.dist(pb, pc)
     lb = math.dist(pc, pa)
     lc = math.dist(pa, pb)
-    area = 0.5 * _orient(pa, pb, pc)
     longest = max(la, lb, lc)
     # min angle is opposite the shortest edge
     shortest = min(la, lb, lc)
     others = sorted((la, lb, lc))[1:]
     cos_min = (others[0] ** 2 + others[1] ** 2 - shortest ** 2) / (2.0 * others[0] * others[1])
     min_angle = math.degrees(math.acos(max(-1.0, min(1.0, cos_min))))
-    return min_angle, longest, area
+    return min_angle, longest
 
 
 def _encroached_by(tr, key, w):
@@ -574,7 +563,7 @@ def refine(tr, theta_min=20.0, h=None, node_cap=200000):
             _split_segment(tr, key, work, node_cap)
 
     def is_bad(tid):
-        min_angle, longest, _ = _tri_geometry(tr, tid)
+        min_angle, longest = _tri_geometry(tr, tid)
         if min_angle < theta_min * (1.0 - 1e-12):
             return True
         return h is not None and longest > h * (1.0 + 1e-12)
@@ -649,7 +638,7 @@ class _SegmentCache:
 
 def _too_close(tr, p, tid, rel=1e-7):
     a, b, c = tr.tri_v[tid]
-    _, longest, _ = _tri_geometry(tr, tid)
+    _, longest = _tri_geometry(tr, tid)
     for w in (a, b, c):
         if math.dist(p, tr.points[w]) < rel * longest:
             return True
@@ -759,12 +748,10 @@ class GeometrySpec:
             bx0, by0, bx1, by1 = box
             if not (0.0 <= bx0 < bx1 <= 1.0 and 0.0 <= by0 < by1 <= 1.0):
                 raise ValueError(f"sensor {i} outside the unit square")
-            if bx0 < x1 - 1e-12 and bx1 > x0 + 1e-12 and by0 < y1 - 1e-12 and by1 > y0 + 1e-12:
+            if _boxes_overlap(box, self.holdall):
                 raise ValueError(f"sensor {i} overlaps the hold-all")
             for j in range(i):
-                ox0, oy0, ox1, oy1 = self.sensors[j]
-                if bx0 < ox1 - 1e-12 and bx1 > ox0 + 1e-12 \
-                        and by0 < oy1 - 1e-12 and by1 > oy0 + 1e-12:
+                if _boxes_overlap(box, self.sensors[j]):
                     raise ValueError(f"sensors {j} and {i} overlap")
         if self.dirichlet_side not in ("top", "bottom", "left", "right", "all"):
             raise ValueError(f"unknown dirichlet side {self.dirichlet_side!r}")
@@ -776,6 +763,13 @@ class GeometrySpec:
             if self.dirichlet_side in ("all", span.side):
                 raise ValueError(f"robin_spans[{i}]: side {span.side!r} is under "
                                  f"the Dirichlet condition ({self.dirichlet_side!r})")
+
+
+def _boxes_overlap(p, q):
+    """True when the open boxes (x0, y0, x1, y1) p and q share an interior
+    point (more than 1e-12 deep)."""
+    return (p[0] < q[2] - 1e-12 and p[2] > q[0] + 1e-12
+            and p[1] < q[3] - 1e-12 and p[3] > q[1] + 1e-12)
 
 
 def _polygon_area(poly):
@@ -818,6 +812,20 @@ def p1_gradients(nodes, triangles):
     g[:, 2, 1] = e1[:, 0] / det
     g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
     return g, 0.5 * det
+
+
+def assemble_p1(triangles, local, n):
+    """Sum (e, 3, 3) element matrices into an (n, n) CSR matrix."""
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
+    vals = local.reshape(len(triangles), 9).ravel()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def p1_stiffness(triangles, g, coeff, n):
+    """P1 stiffness sum_e coeff[e] * grad(phi_i) . grad(phi_j) from the
+    `p1_gradients` g of the elements."""
+    return assemble_p1(triangles, np.einsum("e,eia,eja->eij", coeff, g, g), n)
 
 
 @dataclass

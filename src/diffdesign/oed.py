@@ -114,11 +114,9 @@ class ReducedProblem:
     (possibly extreme) conditioning of Y(w) itself.
     """
 
-    def __init__(self, tensor: FimTensor, gramian=None):
-        b = tensor.gramian if gramian is None else np.asarray(gramian, dtype=float)
+    def __init__(self, tensor: FimTensor):
         self.tensor = tensor
-        self.gramian = b
-        self.metric_factor = cholesky(b)
+        self.metric_factor = cholesky(tensor.gramian)
         self.reduced = np.stack([self.reduce(y) for y in tensor.flat()])
 
     def reduce(self, mat):
@@ -274,7 +272,7 @@ def _result(problem: ReducedProblem, design: Design, w, phi_history,
     """Certify `design` and run the eigen-analysis of the information matrix
     at the weights `w`; phi is the last entry of `phi_history`."""
     xi, violations = problem.residual(design.weights, design.budget)
-    eig = generalized_eig(combine(w, problem.tensor), problem.gramian)
+    eig = generalized_eig(combine(w, problem.tensor), problem.tensor.gramian)
     return OEDResult(
         design=design, phi=phi_history[-1],
         phi_history=np.asarray(phi_history), dw_history=np.asarray(dw_history),
@@ -285,14 +283,13 @@ def _result(problem: ReducedProblem, design: Design, w, phi_history,
     )
 
 
-def evaluate_design(design: Design, tensor: FimTensor, gramian=None) -> OEDResult:
+def evaluate_design(design: Design, tensor: FimTensor) -> OEDResult:
     """Non-optimized evaluation (criterion, residuals, eigenpairs) of a design."""
-    problem = ReducedProblem(tensor, gramian)
+    problem = ReducedProblem(tensor)
     return _result(problem, design, design.weights, [problem.phi(design.weights)])
 
 
 def simplicial_decomposition(tensor: FimTensor, budget,
-                             gramian=None,
                              tol_outer=TOL_OUTER_DEFAULT,
                              max_outer=MAX_OUTER_DEFAULT,
                              master_tol=MASTER_TOL_DEFAULT,
@@ -308,7 +305,7 @@ def simplicial_decomposition(tensor: FimTensor, budget,
     if not 0 < c < n_idx:
         raise ValueError(f"budget must lie strictly between 0 and {n_idx}")
 
-    problem = ReducedProblem(tensor, gramian)
+    problem = ReducedProblem(tensor)
     # the index-level certificate cannot be tighter than the master's
     # slope-equilibration band
     master_tol = min(master_tol, 0.1 * tol_outer)

@@ -271,13 +271,14 @@ def extend_velocity(mesh: Mesh, bfield: BoundaryField,
 
 
 def velocity_gradients(field: VelocityField):
-    """Element-wise Jacobians DV (constant per element) on the support."""
+    """Element-wise Jacobians DV (constant per element) on the support, with
+    the support's P1 gradients and areas."""
     mesh = field.mesh
     tris = mesh.triangles[field.support]
     g, area = p1_gradients(mesh.nodes, tris)
     v = field.values[tris]                       # (e, 3, 2)
     jac = np.einsum("eia,eib->eab", v, g)        # DV[a,b] = dV_a / dx_b
-    return jac, area
+    return jac, g, area
 
 
 def gramian(fields):
@@ -291,7 +292,7 @@ def gramian(fields):
     for f in fields:
         if f.mesh is not mesh:
             raise ValueError("fields live on different meshes")
-        jac, areas = velocity_gradients(f)
+        jac, _, areas = velocity_gradients(f)
         jacs.append(jac)
     n = len(fields)
     b = np.zeros((n, n))

@@ -193,6 +193,24 @@ class TestSensitivity:
         outside = np.setdiff1d(np.arange(len(m.nodes)), supported)
         assert np.all(rhs[outside] == 0.0)
 
+    def test_step_matches_direct_sparse_solve(self, fixture_problem):
+        # one sensitivity step cross-checked against an unrelated solver
+        import scipy.sparse.linalg as spla
+        from diffdesign.fem import _sensitivity_element_data, _sensitivity_rhs
+        m, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=21, tol=1e-13)
+        traj = fem.solve_sensitivity(ops, forward, fields[0], tol=1e-13)
+        tau = forward.tau
+        free, a_ff, _ = ops.reduced_system(tau)
+        load = _sensitivity_rhs(forward.values[4], forward.values[3], tau,
+                                *_sensitivity_element_data(ops, fields[0]),
+                                len(m.nodes))
+        rhs = (ops.mass @ traj.values[3])[free] + tau * load[free]
+        direct = spla.spsolve(a_ff.tocsc(), rhs)
+        scale = max(np.abs(direct).max(), 1e-30)
+        assert np.abs(traj.values[4][free] - direct).max() <= 1e-8 * scale
+        assert np.all(traj.values[:, ops.dirichlet_nodes] == 0.0)
+
     def test_mirror_symmetry(self):
         m = crossed_mesh(8, dirichlet="top")
         ops = fem.assemble_heat(m, kappa_bulk=0.5, kappa_inc=0.5)
