@@ -34,6 +34,12 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _floats(values):
+    """Python floats from ``tolist()``: their ``repr`` is the text `_fmt`
+    gives, without a numpy scalar per value."""
+    return np.asarray(values, dtype=float).tolist()
+
+
 def _line_physical(kind, ref):
     if kind == "dirichlet":
         return _LINE_DIRICHLET
@@ -59,8 +65,8 @@ def write_msh(mesh: Mesh, path):
                 sensor_of[t] = k
 
     lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(mesh.nodes))]
-    for i, (x, y) in enumerate(mesh.nodes, start=1):
-        lines.append(f"{i} {_fmt(x)} {_fmt(y)} 0.0")
+    for i, (x, y) in enumerate(_floats(mesh.nodes), start=1):
+        lines.append(f"{i} {x!r} {y!r} 0.0")
     lines.append("$EndNodes")
 
     n_elem = len(mesh.seg_nodes) + len(mesh.triangles)
@@ -211,11 +217,9 @@ def write_vtk(mesh: Mesh, fields, path, title="diffdesign"):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n} double",
     ]
-    for x, y in mesh.nodes:
-        out.append(f"{_fmt(x)} {_fmt(y)} 0.0")
+    out.extend(f"{x!r} {y!r} 0.0" for x, y in _floats(mesh.nodes))
     out.append(f"CELLS {m} {4 * m}")
-    for a, b, c in mesh.triangles:
-        out.append(f"3 {a} {b} {c}")
+    out.extend(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist())
     out.append(f"CELL_TYPES {m}")
     out.extend(["5"] * m)
 
@@ -226,13 +230,13 @@ def write_vtk(mesh: Mesh, fields, path, title="diffdesign"):
             if values.ndim == 1:
                 out.append(f"SCALARS {name} double 1")
                 out.append("LOOKUP_TABLE default")
-                out.extend(_fmt(v) for v in values)
+                out.extend(map(repr, values.tolist()))
             else:
                 out.append(f"VECTORS {name} double")
-                out.extend(f"{_fmt(v[0])} {_fmt(v[1])} 0.0" for v in values)
+                out.extend(f"{v[0]!r} {v[1]!r} 0.0" for v in values.tolist())
     out.append(f"CELL_DATA {m}")
     out.append("SCALARS region int 1")
     out.append("LOOKUP_TABLE default")
-    out.extend(str(int(r)) for r in mesh.regions)
+    out.extend(map(str, np.asarray(mesh.regions, dtype=int).tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(out) + "\n")

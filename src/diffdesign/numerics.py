@@ -1,9 +1,12 @@
 """Dense and sparse linear-algebra kernels shared by all solver stages.
 
 Dense symmetric matrices are plain ``numpy`` arrays (only the symmetric part
-is authoritative); sparse matrices are ``scipy.sparse`` CSR. Dense
-factorizations and the symmetric pencil solver are LAPACK routines reached
-through ``scipy.linalg``; the sparse solver is ``scipy.sparse.linalg.cg``.
+is authoritative); sparse matrices are ``scipy.sparse`` CSR. The dense
+Cholesky factorization and triangular solves call LAPACK ``potrf`` and
+``trtrs`` directly (bitwise the results of ``scipy.linalg.cholesky`` and
+``solve_triangular``, without their per-call checks), one call site each; the
+symmetric pencil solver is ``scipy.linalg.eigh`` and the sparse solver is
+``scipy.sparse.linalg.cg``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from .errors import NoConvergence, NotPositiveDefinite
 
 #: pivot threshold, relative to the largest diagonal entry
 PIVOT_RTOL = 1e-14
+
+# the double-precision routines behind scipy.linalg.cholesky(lower=True) and
+# solve_triangular, called without their per-call wrapper overhead
+_potrf = scipy.linalg.lapack.dpotrf
+_trtrs = scipy.linalg.lapack.dtrtrs
 
 
 @dataclass(frozen=True)
@@ -45,41 +53,47 @@ def symmetric_part(a, rtol=1e-12):
 
 
 def cholesky(a):
-    """Lower-triangular L with L @ L.T == A (LAPACK-backed).
+    """Lower-triangular L with L @ L.T == A (LAPACK potrf).
 
     Raises NotPositiveDefinite when an elimination pivot falls to or below
     PIVOT_RTOL times the largest diagonal entry of A; rank-deficient PSD
     matrices are rejected by that floor even when the factorization itself
-    squeaks through.
+    squeaks through. The factor is Fortran-ordered, as `solve_lower` and
+    `cholesky_solve` expect.
     """
     a = symmetric_part(a)
-    floor = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
-    try:
-        lower = scipy.linalg.cholesky(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as err:
-        raise NotPositiveDefinite(str(err)) from None
-    pivots = np.diag(lower) ** 2
+    floor = PIVOT_RTOL * max(float(a.diagonal().max()), 0.0)
+    lower, info = _potrf(a, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    pivots = lower.diagonal() ** 2
     if pivots.min() <= floor:
         j = int(np.argmin(pivots))
         raise NotPositiveDefinite(f"pivot {pivots[j]:.3e} at column {j}")
     return lower
 
 
+def _triangular(lower, b, trans):
+    """Solve L x = b (trans=0) or L.T x = b (trans=1) with LAPACK trtrs."""
+    x, info = _trtrs(lower, b, lower=1, trans=trans)
+    if info > 0:
+        raise NotPositiveDefinite(f"zero pivot at column {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of trtrs")
+    return x
+
+
 def solve_lower(lower, b):
     """Forward substitution for L x = b (b may be a vector or matrix)."""
-    return scipy.linalg.solve_triangular(lower, np.asarray(b, dtype=float),
-                                         lower=True, check_finite=False)
-
-
-def solve_upper(upper, b):
-    """Back substitution for U x = b (b may be a vector or matrix)."""
-    return scipy.linalg.solve_triangular(upper, np.asarray(b, dtype=float),
-                                         lower=False, check_finite=False)
+    return _triangular(lower, b, 0)
 
 
 def cholesky_solve(lower, b):
     """Solve (L L.T) x = b given a precomputed Cholesky factor."""
-    return solve_upper(lower.T, solve_lower(lower, b))
+    return _triangular(lower, solve_lower(lower, b), 1)
 
 
 def generalized_eig(a, b):

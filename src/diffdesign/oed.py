@@ -215,9 +215,16 @@ def torsney_master(gen_reduced, gamma, tol, max_iter):
     step oscillates around sharply curved valleys otherwise.
     """
     gamma = np.asarray(gamma, dtype=float)
+    n = gen_reduced.shape[-1]
+    flat = gen_reduced.reshape(len(gen_reduced), n * n)
+
+    def combine(g):
+        # bitwise the product np.tensordot(g, gen_reduced, axes=1) forms,
+        # without its per-call reshaping
+        return np.dot(g.reshape(1, -1), flat).reshape(n, n)
+
     try:
-        kernel, phi = ReducedProblem.state_of(
-            np.tensordot(gamma, gen_reduced, axes=1))
+        kernel, phi = ReducedProblem.state_of(combine(gamma))
     except SingularInformation as err:
         raise SingularInformation(
             "no strictly feasible start for the master problem") from err
@@ -241,8 +248,7 @@ def torsney_master(gen_reduced, gamma, tol, max_iter):
         for _ in range(60):
             cand = gamma + alpha * direction
             try:
-                kern_new, phi_new = ReducedProblem.state_of(
-                    np.tensordot(cand, gen_reduced, axes=1))
+                kern_new, phi_new = ReducedProblem.state_of(combine(cand))
             except SingularInformation:
                 kern_new, phi_new = None, math.inf
             if phi_new > prev_phi:

@@ -2,9 +2,9 @@
 optimize -> eigen-analysis, with a content-addressed tensor cache and
 deterministic CSV/JSON outputs.
 
-Stage timings are printed to stderr and kept on the in-memory report only;
-serialized outputs carry no volatile data, so two runs of the same
-configuration produce byte-identical files.
+Stage timings (self and inclusive) are printed to stderr and kept on the
+in-memory report only; serialized outputs carry no volatile data, so two runs
+of the same configuration produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class RunReport:
     case: str
     config_hash: str
     fim_cache: str                      # "hit", "miss", or "off"
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)   # stage -> {"self", "total"} s
     outputs: list = field(default_factory=list)
     oed_summary: dict = field(default_factory=dict)
 
@@ -46,18 +46,31 @@ class Pipeline:
                                 fim_cache="off" if cache_dir is None else "miss")
         self._log = log
         self._stages = {}
+        self._nested = []               # per open stage: time of its nested stages
 
     def _info(self, message):
         if self._log:
             print(message, file=sys.stderr)
 
     def _stage(self, name, builder):
+        """Build a stage once. Its self time excludes the stages its builder
+        pulls in; its total (inclusive) time does not."""
         if name not in self._stages:
+            self._nested.append(0.0)
             start = time.perf_counter()
-            self._stages[name] = builder()
-            elapsed = time.perf_counter() - start
-            self.report.timings[name] = elapsed
-            self._info(f"[{self.config.case}] {name}: {elapsed:.2f}s")
+            try:
+                self._stages[name] = builder()
+            finally:
+                total = time.perf_counter() - start
+                nested = self._nested.pop()
+            if self._nested:
+                self._nested[-1] += total
+            own = total - nested
+            self.report.timings[name] = {"self": own, "total": total}
+            line = f"[{self.config.case}] {name}: {own:.2f}s"
+            if nested > 0.0:
+                line += f" ({total:.2f}s with nested stages)"
+            self._info(line)
         return self._stages[name]
 
     # -- stages ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +167,21 @@ class TestPipeline:
         payload = json.loads((out / "report.json").read_text())
         assert "timings" not in payload
         assert payload["config_hash"]
+
+    def test_stage_self_times(self, tmp_path):
+        cfg = config.load_config(FAST_CONFIG)
+        start = time.perf_counter()
+        report = pipeline.run_pipeline(cfg, tmp_path, cache_dir=None, log=False)
+        wall = time.perf_counter() - start
+        timings = report.timings
+        assert sum(t["self"] for t in timings.values()) <= wall
+        for t in timings.values():
+            assert 0.0 <= t["self"] <= t["total"] <= wall
+        # optimize pulls in the tensor, and with it the whole PDE chain
+        assert timings["optimize"]["self"] < timings["optimize"]["total"]
+        assert timings["optimize"]["total"] > timings["fim"]["total"]
+        # the mesh is built inside another stage and counted once
+        assert timings["mesh"]["self"] == timings["mesh"]["total"]
 
     def test_field_outputs_when_enabled(self, tmp_path):
         cfg = config.load_config({**FAST_CONFIG, "output": {"write_fields": True}})

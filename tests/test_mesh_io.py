@@ -93,3 +93,55 @@ def test_parse_error_carries_line(tmp_path):
     with pytest.raises(ParseError) as err:
         mesh_io.load_msh(path)
     assert err.value.line == 6
+
+
+# values whose text is easy to get wrong: signed zero, subnormal-range,
+# inexact decimal and large magnitudes
+AWKWARD = [-0.0, 1e-300, 0.1, 1e16, -2.5, 1.0 / 3.0]
+
+
+@pytest.fixture
+def awkward_mesh():
+    nodes = np.array([[0.0, -0.0], [1e-300, 0.1], [1e16, 1.0 / 3.0], [0.1, 1e16]])
+    return mesh.Mesh(
+        nodes=nodes,
+        triangles=np.array([[0, 1, 2], [0, 2, 3]]),
+        regions=np.array([0, 1]),
+        seg_nodes=np.array([[0, 1]]),
+        seg_kind=np.array(["dirichlet"], dtype="U9"),
+        seg_ref=np.array([-1]),
+        seg_beta=np.array([0.0]),
+    )
+
+
+def test_vtk_text_matches_fmt(tmp_path, awkward_mesh):
+    scalar = np.array(AWKWARD[:4])
+    vector = np.array(AWKWARD[2:] + AWKWARD[:2]).reshape(-1, 1) * [1.0, -1.0]
+    path = tmp_path / "awkward.vtk"
+    mesh_io.write_vtk(awkward_mesh, {"s": scalar, "v": vector}, path)
+    fmt = mesh_io._fmt
+    expected = (
+        ["# vtk DataFile Version 3.0", "diffdesign", "ASCII",
+         "DATASET UNSTRUCTURED_GRID", "POINTS 4 double"]
+        + [f"{fmt(x)} {fmt(y)} 0.0" for x, y in awkward_mesh.nodes]
+        + ["CELLS 2 8", "3 0 1 2", "3 0 2 3", "CELL_TYPES 2", "5", "5",
+           "POINT_DATA 4", "SCALARS s double 1", "LOOKUP_TABLE default"]
+        + [fmt(v) for v in scalar]
+        + ["VECTORS v double"]
+        + [f"{fmt(x)} {fmt(y)} 0.0" for x, y in vector]
+        + ["CELL_DATA 2", "SCALARS region int 1", "LOOKUP_TABLE default", "0", "1"]
+    )
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert "-0.0" in expected and "1e-300" in expected and "1e+16" in expected
+
+
+def test_msh_nodes_match_fmt(tmp_path, awkward_mesh):
+    path = tmp_path / "awkward.msh"
+    mesh_io.write_msh(awkward_mesh, path)
+    fmt = mesh_io._fmt
+    expected = ["$Nodes", "4"] + [
+        f"{i} {fmt(x)} {fmt(y)} 0.0"
+        for i, (x, y) in enumerate(awkward_mesh.nodes, start=1)] + ["$EndNodes"]
+    lines = path.read_text().splitlines()
+    assert lines[3:3 + len(expected)] == expected
+    assert lines[5] == "1 0.0 -0.0 0.0"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from diffdesign import numerics
@@ -42,6 +43,42 @@ class TestCholesky:
             a = random_spd(n, rng)
             lower = numerics.cholesky(a)
             assert np.linalg.norm(lower @ lower.T - a) <= 1e-10 * np.linalg.norm(a)
+
+
+class TestLapackBits:
+    """The direct potrf/trtrs calls give bitwise the results of the scipy
+    wrappers they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 30])
+    def test_cholesky_matches_scipy(self, n):
+        a = random_spd(n, np.random.default_rng(10 + n))
+        reference = scipy.linalg.cholesky(numerics.symmetric_part(a), lower=True)
+        assert np.array_equal(numerics.cholesky(a), reference)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 30])
+    @pytest.mark.parametrize("n_rhs", [None, 1, 4])
+    def test_solves_match_solve_triangular(self, n, n_rhs):
+        rng = np.random.default_rng(20 + n)
+        lower = numerics.cholesky(random_spd(n, rng))
+        b = rng.standard_normal(n if n_rhs is None else (n, n_rhs))
+        forward = scipy.linalg.solve_triangular(lower, b, lower=True)
+        backward = scipy.linalg.solve_triangular(lower.T, forward, lower=False)
+        assert np.array_equal(numerics.solve_lower(lower, b), forward)
+        assert np.array_equal(numerics.cholesky_solve(lower, b), backward)
+
+    def test_indefinite_fails_in_the_factorization(self):
+        with pytest.raises(NotPositiveDefinite, match="2-th leading minor"):
+            numerics.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rank_deficient_psd_fails_at_the_pivot_floor(self):
+        # rank 2 of 3: round-off leaves potrf a last pivot of ~6e-17 > 0, so
+        # only the pivot floor rejects the matrix
+        b = np.random.default_rng(0).standard_normal((3, 2))
+        a = numerics.symmetric_part(b @ b.T)
+        _, info = scipy.linalg.lapack.dpotrf(a, lower=1)
+        assert info == 0
+        with pytest.raises(NotPositiveDefinite, match="pivot .* at column"):
+            numerics.cholesky(a)
 
 
 class TestSolveSpdDense:
