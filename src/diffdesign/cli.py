@@ -106,11 +106,10 @@ def _run(args):
         return 0
 
     if args.command == "solve-forward":
-        forward = pipe.forward()
-        for step in range(len(forward.times)):
-            mesh_io.write_vtk(pipe.mesh(), {"u": forward.values[step]},
-                              out / f"forward_{step:04d}.vtk")
-        print(f"forward trajectory: {len(forward.times)} snapshots")
+        n_snapshots = len(pipe.forward().times)
+        for step in range(n_snapshots):
+            pipe.write_forward_vtk(step, out / f"forward_{step:04d}.vtk")
+        print(f"forward trajectory: {n_snapshots} snapshots")
         return 0
 
     if args.command == "sensitivities":

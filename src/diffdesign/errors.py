@@ -37,18 +37,6 @@ class MissingTag(DiffDesignError):
     """Mesh lacks a tag required by an assembly routine."""
 
 
-class ParseError(DiffDesignError):
-    """Malformed mesh file; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
-
-
-class UnsupportedVersion(DiffDesignError):
-    """Mesh file version outside the supported subset."""
-
-
 # interface curve / basis
 
 class MultipleLoops(DiffDesignError):
@@ -68,10 +56,6 @@ class DisconnectedGraph(DiffDesignError):
 
 
 # fem / fim
-
-class MeshInversion(DiffDesignError):
-    """Node displacement produced a non-positive triangle area."""
-
 
 class InstantOutOfRange(DiffDesignError):
     """Measurement instant index outside the trajectory grid."""

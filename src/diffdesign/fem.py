@@ -6,7 +6,7 @@ shares the forward left-hand operator with homogeneous Dirichlet data; its
 right side discretizes the time derivative with the same backward difference
 the stepper induces, which keeps the scheme the exact derivative of the
 discrete forward problem under node displacement. That exactness is what the
-finite-difference oracle checks.
+test suite's finite-difference oracle checks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshInversion, MissingTag
+from .errors import MissingTag
 from .mesh import Mesh, assemble_p1, p1_gradients, p1_stiffness
 from .numerics import cg_solve
 from .shape import VelocityField, velocity_gradients
@@ -67,14 +67,12 @@ class Trajectory:
 
 
 def assemble_heat(mesh: Mesh, kappa_bulk=KAPPA_BULK_DEFAULT,
-                  kappa_inc=KAPPA_INC_DEFAULT, beta=None,
+                  kappa_inc=KAPPA_INC_DEFAULT,
                   u_d=U_DIRICHLET_DEFAULT, source=None) -> HeatOperators:
     """Assemble mass, stiffness, and Robin matrices for the tagged mesh.
 
-    `beta` overrides the per-segment Robin coefficients stored in the mesh:
-    a scalar applies uniformly, a callable maps edge midpoints to values,
-    None keeps the mesh data. Raises MissingTag when the mesh has no
-    Dirichlet segment.
+    The Robin coefficients are the per-segment values stored in the mesh.
+    Raises MissingTag when the mesh has no Dirichlet segment.
     """
     if kappa_bulk <= 0.0 or kappa_inc <= 0.0:
         raise ValueError("diffusion coefficients must be positive")
@@ -89,13 +87,8 @@ def assemble_heat(mesh: Mesh, kappa_bulk=KAPPA_BULK_DEFAULT,
 
     seg_mask = mesh.seg_kind == "robin"
     segs = mesh.seg_nodes[seg_mask]
-    betas = mesh.seg_beta[seg_mask].copy()
+    betas = mesh.seg_beta[seg_mask]
     if len(segs):
-        mids = 0.5 * (nodes[segs[:, 0]] + nodes[segs[:, 1]])
-        if callable(beta):
-            betas = np.array([float(beta(m)) for m in mids])
-        elif beta is not None:
-            betas = np.full(len(segs), float(beta))
         lengths = np.linalg.norm(nodes[segs[:, 1]] - nodes[segs[:, 0]], axis=1)
         w = betas * lengths / 6.0
         r_rows = np.concatenate([segs[:, 0], segs[:, 0], segs[:, 1], segs[:, 1]])
@@ -198,55 +191,3 @@ def solve_sensitivity(ops: HeatOperators, forward: Trajectory,
 
     values = _march(ops, tau, len(forward.times) - 1, load, 0.0, tol)
     return Trajectory(times=forward.times.copy(), values=values)
-
-
-def displaced_mesh(mesh: Mesh, vfield: VelocityField, step: float) -> Mesh:
-    """Copy of the mesh with nodes moved by step * V; connectivity and tags
-    are unchanged. Raises MeshInversion when an element area turns
-    non-positive."""
-    moved = Mesh(
-        nodes=mesh.nodes + step * vfield.values,
-        triangles=mesh.triangles,
-        regions=mesh.regions,
-        seg_nodes=mesh.seg_nodes,
-        seg_kind=mesh.seg_kind,
-        seg_ref=mesh.seg_ref,
-        seg_beta=mesh.seg_beta,
-        patches=mesh.patches,
-    )
-    if moved.areas().min() <= 0.0:
-        raise MeshInversion(f"displacement step {step} inverts an element")
-    return moved
-
-
-def fd_material_derivative_oracle(mesh: Mesh, vfield: VelocityField, tau_fd,
-                                  kappa_bulk=KAPPA_BULK_DEFAULT,
-                                  kappa_inc=KAPPA_INC_DEFAULT,
-                                  beta=None, u_d=U_DIRICHLET_DEFAULT,
-                                  horizon=T_DEFAULT, n_steps=N_STEPS_DEFAULT,
-                                  central=False, tol=1e-12) -> Trajectory:
-    """Finite-difference material derivative via node displacement.
-
-    Solves the forward problem on meshes with nodes moved by +tau_fd (and
-    -tau_fd for the central variant) along V and differences the nodal
-    trajectories; identical connectivity makes the nodal difference exactly
-    the material derivative's finite difference.
-    """
-    def solve_on(m):
-        ops = assemble_heat(m, kappa_bulk=kappa_bulk, kappa_inc=kappa_inc,
-                            beta=beta, u_d=u_d)
-        return solve_forward(ops, horizon=horizon, n_steps=n_steps, tol=tol)
-
-    plus = solve_on(displaced_mesh(mesh, vfield, tau_fd))
-    if central:
-        minus = solve_on(displaced_mesh(mesh, vfield, -tau_fd))
-        diff = (plus.values - minus.values) / (2.0 * tau_fd)
-    else:
-        base = solve_on(mesh)
-        diff = (plus.values - base.values) / tau_fd
-    return Trajectory(times=plus.times, values=diff)
-
-
-def mass_norm(ops: HeatOperators, vec):
-    """Discrete L2 norm induced by the mass matrix."""
-    return float(np.sqrt(vec @ (ops.mass @ vec)))

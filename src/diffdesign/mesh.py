@@ -137,23 +137,18 @@ class Triangulation:
     def point_array(self):
         return np.asarray(self.points, dtype=float)
 
-    def triangle_array(self):
-        return np.array([self.tri_v[t] for t in self.triangle_ids()], dtype=int)
-
     def has_edge(self, u, v):
         return _edge_key(u, v) in self.edge_tris
 
     # -- point location ---------------------------------------------------
 
-    def locate(self, p, max_steps=None):
+    def locate(self, p):
         """Walk to a triangle containing p; None when p is outside the hull."""
         if not self.tri_v:
             return None
         tid = self._hint if self._hint in self.tri_v else next(iter(self.tri_v))
-        if max_steps is None:
-            max_steps = 4 * len(self.tri_v) + 64
         eps = -1e-13
-        for _ in range(max_steps):
+        for _ in range(4 * len(self.tri_v) + 64):
             a, b, c = self.tri_v[tid]
             crossed = None
             hull_exit = False
@@ -354,17 +349,6 @@ def strip_super(tr):
             tr._remove(tid)
 
 
-def delaunay_triangulate(points):
-    """Delaunay triangulation of the convex hull of `points`.
-
-    Every triangle satisfies the empty-circumcircle property against every
-    input point up to a 1e-12 relative slack.
-    """
-    tr = bowyer_watson(points)
-    strip_super(tr)
-    return tr
-
-
 def recover_constraints(tr, segments):
     """Force each segment (pairs of point indices) to appear as an edge.
 
@@ -373,10 +357,8 @@ def recover_constraints(tr, segments):
     interiors. Flipped regions are re-legalized, so the Delaunay property
     holds away from the constraints.
     """
-    segs = [(int(u), int(v)) for u, v in segments]
-    remap = getattr(tr, "input_index", None)
-    if remap is not None:
-        segs = [(int(remap[u]), int(remap[v])) for u, v in segs]
+    remap = tr.input_index
+    segs = [(int(remap[u]), int(remap[v])) for u, v in segments]
     _validate_no_crossings(tr.point_array(), segs)
     for u, v in segs:
         _enforce_segment(tr, u, v)
@@ -846,9 +828,6 @@ class Mesh:
         p = self.nodes[self.triangles]
         return 0.5 * _orient(p[:, 0].T, p[:, 1].T, p[:, 2].T)
 
-    def centroids(self):
-        return self.nodes[self.triangles].mean(axis=1)
-
     def segments_of_kind(self, kind):
         mask = self.seg_kind == kind
         return self.seg_nodes[mask], self.seg_ref[mask], self.seg_beta[mask]
@@ -868,12 +847,6 @@ class Patch:
     mesh: Mesh
     elements: np.ndarray
     nodes: np.ndarray        # global node ids, ascending; local id = position
-
-    def __post_init__(self):
-        self.local_of = {int(g): i for i, g in enumerate(self.nodes)}
-
-    def area(self):
-        return float(self.mesh.areas()[self.elements].sum())
 
     def local_triangles(self):
         tris = self.mesh.triangles[self.elements]
@@ -1067,16 +1040,11 @@ def _build_patches(mesh, spec, centroids):
 
 
 def extract_patch(mesh: Mesh, tag: str) -> Patch:
-    """Patch for a named element set: bulk, inclusion, holdall,
-    holdall-closure, or sensor:<id>."""
-    if tag == "bulk":
-        elements = np.flatnonzero(mesh.regions == 0)
-    elif tag == "inclusion":
-        elements = np.flatnonzero(mesh.regions == 1)
-    elif tag in mesh.patches:
-        elements = mesh.patches[tag]
-    else:
+    """Patch for a named element set: holdall, holdall-closure, or
+    sensor:<id>."""
+    if tag not in mesh.patches:
         raise UnknownTag(f"no patch tagged {tag!r}")
+    elements = mesh.patches[tag]
     if len(elements) == 0:
         raise UnknownTag(f"patch {tag!r} is empty")
     nodes = np.unique(mesh.triangles[elements])

@@ -1,6 +1,6 @@
-"""Mesh file exchange: Gmsh MSH 2.2 ASCII subset and VTK legacy ASCII.
+"""Mesh file writers: Gmsh MSH 2.2 ASCII subset and VTK legacy ASCII.
 
-Physical ids used in MSH files (and expected back on load):
+Physical ids written to MSH files:
 
     triangles: 1 plain bulk, 2 inclusion, 3 hold-all annulus, 100+k sensor k
     lines:     11 dirichlet, 12 interface, 13 hold-all boundary,
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedVersion
 from .mesh import Mesh
 
 _TRI_BULK = 1
@@ -91,114 +90,6 @@ def write_msh(mesh: Mesh, path):
     lines.append("$EndElements")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_msh(path, robin_betas=None) -> Mesh:
-    """Read a Gmsh MSH 2.2 ASCII file written with the physical ids above.
-
-    `robin_betas` optionally maps robin span index -> beta value; segments
-    tagged with unknown physical ids raise ParseError.
-    """
-    with open(path, encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-
-    def expect(lineno, text):
-        if lineno >= len(raw) or raw[lineno].strip() != text:
-            raise ParseError(f"expected {text!r}", line=lineno + 1)
-
-    expect(0, "$MeshFormat")
-    parts = raw[1].split()
-    if not parts or parts[0] not in ("2.2",):
-        raise UnsupportedVersion(f"MSH version {parts[0] if parts else '?'} unsupported")
-    expect(2, "$EndMeshFormat")
-    expect(3, "$Nodes")
-    try:
-        n_nodes = int(raw[4])
-    except (IndexError, ValueError):
-        raise ParseError("bad node count", line=5)
-
-    id_map = {}
-    coords = []
-    for k in range(n_nodes):
-        lineno = 5 + k
-        try:
-            fields = raw[lineno].split()
-            nid = int(fields[0])
-            x, y = float(fields[1]), float(fields[2])
-        except (IndexError, ValueError):
-            raise ParseError("bad node line", line=lineno + 1)
-        id_map[nid] = len(coords)
-        coords.append((x, y))
-    expect(5 + n_nodes, "$EndNodes")
-    expect(6 + n_nodes, "$Elements")
-    try:
-        n_elem = int(raw[7 + n_nodes])
-    except (IndexError, ValueError):
-        raise ParseError("bad element count", line=8 + n_nodes)
-
-    triangles, tri_phys = [], []
-    segs, seg_phys = [], []
-    for k in range(n_elem):
-        lineno = 8 + n_nodes + k
-        try:
-            fields = [int(f) for f in raw[lineno].split()]
-            etype, ntags = fields[1], fields[2]
-            phys = fields[3] if ntags >= 1 else 0
-            conn = fields[3 + ntags:]
-        except (IndexError, ValueError):
-            raise ParseError("bad element line", line=lineno + 1)
-        if etype == 1:
-            if len(conn) != 2:
-                raise ParseError("2-node line expected", line=lineno + 1)
-            segs.append((id_map[conn[0]], id_map[conn[1]]))
-            seg_phys.append(phys)
-        elif etype == 2:
-            if len(conn) != 3:
-                raise ParseError("3-node triangle expected", line=lineno + 1)
-            triangles.append((id_map[conn[0]], id_map[conn[1]], id_map[conn[2]]))
-            tri_phys.append(phys)
-        else:
-            raise ParseError(f"unsupported element type {etype}", line=lineno + 1)
-    expect(8 + n_nodes + n_elem, "$EndElements")
-
-    triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
-    tri_phys = np.asarray(tri_phys, dtype=int)
-    regions = (tri_phys == _TRI_INCLUSION).astype(int)
-
-    seg_kind, seg_ref, seg_beta = [], [], []
-    for phys in seg_phys:
-        if phys == _LINE_DIRICHLET:
-            seg_kind.append("dirichlet"); seg_ref.append(-1); seg_beta.append(0.0)
-        elif phys == _LINE_INTERFACE:
-            seg_kind.append("interface"); seg_ref.append(-1); seg_beta.append(0.0)
-        elif phys == _LINE_HOLDALL:
-            seg_kind.append("holdall"); seg_ref.append(-1); seg_beta.append(0.0)
-        elif phys == _LINE_ROBIN_DEFAULT:
-            seg_kind.append("robin"); seg_ref.append(-1); seg_beta.append(0.0)
-        elif _LINE_ROBIN_BASE <= phys < _LINE_SENSOR_BASE:
-            i = phys - _LINE_ROBIN_BASE
-            beta = float(robin_betas[i]) if robin_betas else 0.0
-            seg_kind.append("robin"); seg_ref.append(i); seg_beta.append(beta)
-        elif phys >= _LINE_SENSOR_BASE and phys < _TRI_SENSOR_BASE:
-            seg_kind.append("sensor"); seg_ref.append(phys - _LINE_SENSOR_BASE); seg_beta.append(0.0)
-        else:
-            raise ParseError(f"unknown line physical id {phys}")
-
-    mesh = Mesh(
-        nodes=np.asarray(coords, dtype=float),
-        triangles=triangles,
-        regions=regions,
-        seg_nodes=np.asarray(segs, dtype=int).reshape(-1, 2),
-        seg_kind=np.asarray(seg_kind, dtype="U9"),
-        seg_ref=np.asarray(seg_ref, dtype=int),
-        seg_beta=np.asarray(seg_beta, dtype=float),
-    )
-    mesh.patches["holdall"] = np.flatnonzero(tri_phys == _TRI_ANNULUS)
-    mesh.patches["holdall-closure"] = np.flatnonzero(
-        (tri_phys == _TRI_ANNULUS) | (tri_phys == _TRI_INCLUSION))
-    for k in sorted(set(int(p) - _TRI_SENSOR_BASE for p in tri_phys if p >= _TRI_SENSOR_BASE)):
-        mesh.patches[f"sensor:{k}"] = np.flatnonzero(tri_phys == _TRI_SENSOR_BASE + k)
-    return mesh
 
 
 def write_vtk(mesh: Mesh, fields, path, title="diffdesign"):

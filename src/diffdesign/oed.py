@@ -94,15 +94,6 @@ class OEDResult:
     n_vertices: int
 
 
-def a_criterion(upsilon, gramian) -> float:
-    """trace(B Upsilon^-1); +inf when the information matrix is singular."""
-    try:
-        lower = cholesky(upsilon)
-    except NotPositiveDefinite:
-        return math.inf
-    return float(np.trace(cholesky_solve(lower, gramian)))
-
-
 class ReducedProblem:
     """Design problem in the metric's Cholesky coordinates.
 
@@ -261,16 +252,6 @@ def torsney_master(gen_reduced, gamma, tol, max_iter):
             return gamma, True                                 # numerically stalled
         gamma, kernel, phi = best
     return gamma, False
-
-
-def round_design(design: Design) -> Design:
-    """Binary design with ones at the budget's worth of largest weights."""
-    c = _integer_budget(design.budget)
-    order = np.argsort(-design.weights, kind="stable")
-    w = np.zeros_like(design.weights)
-    w[order[:c]] = 1.0
-    return Design(weights=w, budget=design.budget, n_obs=design.n_obs,
-                  n_time=design.n_time, provenance="rounded")
 
 
 def _result(problem: ReducedProblem, design: Design, w, phi_history,

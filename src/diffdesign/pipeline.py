@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fem, fim, mesh_io, oed, shape
 from .config import Config, config_hash, tensor_hash
-from .errors import CacheMismatch
+from .errors import CacheMismatch, ConfigError
 from .mesh import build_mesh
 from .mesh_io import _fmt
 
@@ -98,6 +98,11 @@ class Pipeline:
             curve = self.curve()
             centers = None
             if cfg.center_mode == "farthest-point" and cfg.n_basis > 1:
+                n_vertices = len(curve.vertices)
+                if cfg.n_basis - 1 > n_vertices:
+                    raise ConfigError(
+                        f"$.basis.n_basis: {cfg.n_basis - 1} farthest-point centers "
+                        f"need as many interface vertices; the mesh has {n_vertices}")
                 dist = shape.graph_geodesics(curve)
                 picks = shape.farthest_point_centers(dist, cfg.n_basis - 1, seed=0)
                 centers = sorted(float(curve.arc[i]) for i in picks)
@@ -170,6 +175,12 @@ class Pipeline:
         self.report.outputs.append(str(rel_path))
         return path
 
+    def write_forward_vtk(self, step, path):
+        """Write snapshot `step` of the forward trajectory, titled with its time."""
+        forward = self.forward()
+        mesh_io.write_vtk(self.mesh(), {"u": forward.values[step]}, path,
+                          title=f"t={_fmt(forward.times[step])}")
+
     def write_outputs(self):
         m = self.mesh()
         result = self.result()
@@ -182,12 +193,9 @@ class Pipeline:
         self._write("report.json", lambda p: _write_report_json(
             p, self.config, self.report, result))
         if self.config.write_fields:
-            forward = self.forward()
-            for step, t in enumerate(forward.times):
+            for step in range(len(self.forward().times)):
                 self._write(f"fields/forward_{step:04d}.vtk",
-                            lambda p, s=step: mesh_io.write_vtk(
-                                m, {"u": forward.values[s]}, p,
-                                title=f"t={_fmt(forward.times[s])}"))
+                            lambda p, s=step: self.write_forward_vtk(s, p))
             fields = self.basis_fields()
             for i, f in enumerate(fields):
                 self._write(f"fields/basis_{i:02d}.vtk",
@@ -294,9 +302,9 @@ def compare_cases(configs, out_dir, cache_dir=None, log=True):
     criterion at equal weights of total budget mass without optimizing.
     Returns the table rows and writes compare.csv.
     """
-    dims = {cfg.basis.n_basis for cfg in configs}
-    if len(dims) > 1:
-        raise ValueError(f"cases disagree on the basis dimension: {sorted(dims)}")
+    if len({cfg.basis.n_basis for cfg in configs}) > 1:
+        dims = ", ".join(f"{cfg.case} has {cfg.basis.n_basis}" for cfg in configs)
+        raise ConfigError(f"$.basis.n_basis: cases disagree on the basis dimension ({dims})")
     out_dir = Path(out_dir)
     rows = []
     for cfg in configs:

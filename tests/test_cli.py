@@ -211,7 +211,7 @@ class TestCompare:
     def test_dimension_mismatch_rejected(self, tmp_path):
         a = config.load_config(FAST_CONFIG)
         b = config.load_config({**FAST_CONFIG, "basis": {"n_basis": 3}})
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             pipeline.compare_cases([a, b], tmp_path, log=False)
 
     def test_identical_configs_identical_rows(self, tmp_path):
@@ -326,3 +326,40 @@ class TestCli:
         code = cli.main(["compare", str(a), str(b), "--out", str(tmp_path / "cmp")])
         assert code == 0
         assert (tmp_path / "cmp" / "compare.csv").exists()
+
+    def test_compare_dimension_mismatch_exit_code(self, tmp_path, capsys):
+        a = write_config(tmp_path, case="four")
+        b_payload = json.loads(json.dumps(FAST_CONFIG))
+        b_payload["case"] = "three"
+        b_payload["basis"]["n_basis"] = 3
+        b = tmp_path / "three.json"
+        b.write_text(json.dumps(b_payload))
+        code = cli.main(["compare", str(a), str(b), "--out", str(tmp_path / "cmp")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "$.basis.n_basis" in err
+        assert "four has 4" in err and "three has 3" in err
+
+    def test_farthest_point_centers_overflow_exit_code(self, tmp_path, capsys):
+        # an 8-vertex interface cannot host 39 farthest-point centers
+        cfg_path = write_config(tmp_path, {
+            "geometry": {"h": 0.09, "spline_samples": 8},
+            "basis": {"n_basis": 40, "center_mode": "farthest-point"},
+            "physics": {"n_steps": 2},
+            "design": {"budget": 2},
+        })
+        code = cli.main(["sensitivities", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "$.basis.n_basis" in capsys.readouterr().err
+
+    def test_solve_forward_snapshots_match_pipeline(self, tmp_path):
+        payload = {**FAST_CONFIG, "output": {"write_fields": True}}
+        cfg_path = write_config(tmp_path, payload)
+        assert cli.main(["solve-forward", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "cli")]) == 0
+        pipeline.run_pipeline(config.load_config(payload), tmp_path / "pipe", log=False)
+        snapshots = sorted((tmp_path / "cli").glob("forward_*.vtk"))
+        assert len(snapshots) == FAST_CONFIG["physics"]["n_steps"] + 1
+        for path in snapshots:
+            assert path.read_bytes() == (tmp_path / "pipe" / "fields" / path.name).read_bytes()

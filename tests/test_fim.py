@@ -82,7 +82,7 @@ class TestElementaryFims:
         traj = fem.Trajectory(times=sens[0].times.copy(),
                               values=np.full_like(sens[0].values, c))
         tensor = fim.elementary_fims([traj], [s], [3], np.eye(1))
-        area = s.patch.area()
+        area = m.areas()[s.patch.elements].sum()
         expected = 1.5 ** 2 * c ** 2 * area
         assert abs(tensor.matrices[0, 0, 0, 0] - expected) <= 1e-10 * expected
 
@@ -128,6 +128,17 @@ class TestElementaryFims:
         _, sensors, sens, gram, _ = problem
         with pytest.raises(InstantOutOfRange):
             fim.elementary_fims(sens, sensors, [99], gram)
+
+
+class TestMetamorphic:
+    def test_doubled_noise_parameters_quadruple_fims(self, problem):
+        # the precision root is linear in (alpha0, alpha1) and enters each
+        # elementary FIM twice; doubling is exact in floating point
+        m, _, sens, gram, tensor = problem
+        sensors = fim.build_sensor_models(m, alpha0=2.0 * fim.ALPHA0_DEFAULT,
+                                          alpha1=2.0 * fim.ALPHA1_DEFAULT)
+        doubled = fim.elementary_fims(sens, sensors, range(7), gram)
+        assert np.array_equal(doubled.matrices, 4.0 * tensor.matrices)
 
 
 class TestCombine:

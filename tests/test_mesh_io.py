@@ -2,25 +2,6 @@ import numpy as np
 import pytest
 
 from diffdesign import mesh, mesh_io
-from diffdesign.errors import ParseError, UnsupportedVersion
-
-MINIMAL_MSH = """$MeshFormat
-2.2 0 8
-$EndMeshFormat
-$Nodes
-4
-1 0.0 0.0 0.0
-2 1.0 0.0 0.0
-3 1.0 1.0 0.0
-4 0.0 1.0 0.0
-$EndNodes
-$Elements
-3
-1 1 2 11 11 4 3
-2 2 2 1 1 1 2 3
-3 2 2 1 1 1 3 4
-$EndElements
-"""
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +12,6 @@ def small_mesh():
         h=0.1,
     )
     return mesh.build_mesh(spec)
-
-
-def test_minimal_fixture(tmp_path):
-    path = tmp_path / "two_tri.msh"
-    path.write_text(MINIMAL_MSH)
-    m = mesh_io.load_msh(path)
-    assert len(m.nodes) == 4
-    assert len(m.triangles) == 2
-    assert list(m.seg_kind) == ["dirichlet"]
 
 
 def test_vtk_header(tmp_path, small_mesh):
@@ -59,17 +31,44 @@ def test_vtk_vector_field(tmp_path, small_mesh):
 
 
 def test_msh_roundtrip(tmp_path, small_mesh):
+    # every written element carries the connectivity and the physical id of
+    # its tags (ids as documented in mesh_io)
     path = tmp_path / "mesh.msh"
     mesh_io.write_msh(small_mesh, path)
-    loaded = mesh_io.load_msh(path, robin_betas={0: 10.0})
-    assert len(loaded.nodes) == len(small_mesh.nodes)
-    assert len(loaded.triangles) == len(small_mesh.triangles)
-    assert np.array_equal(loaded.regions, small_mesh.regions)
-    assert np.array_equal(np.sort(loaded.seg_kind), np.sort(small_mesh.seg_kind))
-    for name in small_mesh.patches:
-        assert np.array_equal(np.sort(loaded.patches[name]), np.sort(small_mesh.patches[name]))
-    robin = loaded.seg_beta[loaded.seg_kind == "robin"]
-    assert set(robin.tolist()) == {0.0, 10.0}
+    lines = path.read_text().splitlines()
+    assert lines[4] == str(len(small_mesh.nodes))
+    start = lines.index("$Elements")
+    n_elem = int(lines[start + 1])
+    assert lines[start + 2 + n_elem] == "$EndElements"
+    rows = [[int(f) for f in line.split()]
+            for line in lines[start + 2:start + 2 + n_elem]]
+    segs = np.array([r for r in rows if r[1] == 1], dtype=int)
+    tris = np.array([r for r in rows if r[1] == 2], dtype=int)
+    assert len(segs) + len(tris) == n_elem
+    assert np.array_equal(segs[:, 5:] - 1, small_mesh.seg_nodes)
+    assert np.array_equal(tris[:, 5:] - 1, small_mesh.triangles)
+
+    tri_phys = tris[:, 3]
+    assert np.array_equal(tri_phys == 2, small_mesh.regions == 1)
+    expected_patches = {"holdall": tri_phys == 3,
+                        "holdall-closure": (tri_phys == 2) | (tri_phys == 3)}
+    for k in small_mesh.sensor_ids():
+        expected_patches[f"sensor:{k}"] = tri_phys == 100 + k
+    assert set(expected_patches) == set(small_mesh.patches)
+    for name, mask in expected_patches.items():
+        assert np.array_equal(np.flatnonzero(mask), np.sort(small_mesh.patches[name]))
+
+    fixed = {"dirichlet": 11, "interface": 12, "holdall": 13}
+    for phys, kind, ref in zip(segs[:, 3], small_mesh.seg_kind, small_mesh.seg_ref):
+        if kind == "robin":
+            assert phys == (19 if ref < 0 else 20 + ref)
+        elif kind == "sensor":
+            assert phys == 30 + ref
+        else:
+            assert phys == fixed[kind]
+    betas = small_mesh.seg_beta
+    assert set(betas[segs[:, 3] == 20].tolist()) == {10.0}
+    assert set(betas[segs[:, 3] == 19].tolist()) == {0.0}
 
 
 def test_roundtrip_deterministic(tmp_path, small_mesh):
@@ -78,21 +77,6 @@ def test_roundtrip_deterministic(tmp_path, small_mesh):
     mesh_io.write_msh(small_mesh, p1)
     mesh_io.write_msh(small_mesh, p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_unsupported_version(tmp_path):
-    path = tmp_path / "bad.msh"
-    path.write_text(MINIMAL_MSH.replace("2.2 0 8", "4.1 0 8"))
-    with pytest.raises(UnsupportedVersion):
-        mesh_io.load_msh(path)
-
-
-def test_parse_error_carries_line(tmp_path):
-    path = tmp_path / "trunc.msh"
-    path.write_text(MINIMAL_MSH.replace("1 0.0 0.0 0.0", "1 garbage"))
-    with pytest.raises(ParseError) as err:
-        mesh_io.load_msh(path)
-    assert err.value.line == 6
 
 
 # values whose text is easy to get wrong: signed zero, subnormal-range,

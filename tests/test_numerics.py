@@ -235,9 +235,10 @@ class TestCgSolve:
         # stiffness + mass of a coarse triangulation, solved from a
         # manufactured solution
         from diffdesign import mesh
-        tr = mesh.delaunay_triangulate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        from test_mesh import delaunay, triangle_array
+        tr = delaunay([(0, 0), (1, 0), (1, 1), (0, 1)])
         mesh.refine(tr, theta_min=20.0, h=0.2)
-        tris = tr.triangle_array()
+        tris = triangle_array(tr)
         used = np.unique(tris)
         remap = np.full(len(tr.points), -1, dtype=int)
         remap[used] = np.arange(len(used))
