@@ -6,7 +6,8 @@ shares the forward left-hand operator with homogeneous Dirichlet data; its
 right side discretizes the time derivative with the same backward difference
 the stepper induces, which keeps the scheme the exact derivative of the
 discrete forward problem under node displacement. That exactness is what the
-test suite's finite-difference oracle checks.
+test suite's finite-difference oracle checks. The sensitivities of all basis
+fields march together, one block CG solve per time step.
 """
 
 from __future__ import annotations
@@ -106,25 +107,26 @@ def assemble_heat(mesh: Mesh, kappa_bulk=KAPPA_BULK_DEFAULT,
                          dirichlet_value=float(u_d), source=source)
 
 
-def _march(ops: HeatOperators, tau, n_steps, load, dirichlet_value, tol):
-    """Backward-Euler march from a zero state.
+def _march(ops: HeatOperators, tau, n_steps, load, dirichlet_value, tol, k):
+    """Backward-Euler march of k independent states from zero.
 
-    Step m solves A_ff x = (M u_{m-1})[free] + load(m) on the free nodes,
-    warm-started from the previous step, and sets the Dirichlet nodes to
-    `dirichlet_value`; returns the (n_steps + 1, n) nodal values.
+    Step m solves A_ff X = (M U_{m-1}^T)^T[:, free] + load(m) for all k rows
+    in one `cg_solve` call, warm-started from the previous step, and sets the
+    Dirichlet nodes to `dirichlet_value`; returns the (k, n_steps + 1, n)
+    nodal values.
     """
     n = len(ops.mesh.nodes)
     free, a_ff, _ = ops.reduced_system(tau)
-    values = np.zeros((n_steps + 1, n))
-    u = np.zeros(n)
+    values = np.zeros((k, n_steps + 1, n))
+    u = np.zeros((k, n))
     guess = None
     for m in range(1, n_steps + 1):
-        rhs = (ops.mass @ u)[free] + load(m)
+        rhs = (ops.mass @ u.T).T[:, free] + load(m)
         guess = cg_solve(a_ff, rhs, tol=tol, x0=guess)
-        u = np.zeros(n)
-        u[free] = guess
-        u[ops.dirichlet_nodes] = dirichlet_value
-        values[m] = u
+        u = np.zeros((k, n))
+        u[:, free] = guess
+        u[:, ops.dirichlet_nodes] = dirichlet_value
+        values[:, m] = u
     return values
 
 
@@ -145,8 +147,8 @@ def solve_forward(ops: HeatOperators, horizon=T_DEFAULT,
             return neg_lift
         return neg_lift + tau * (ops.mass @ np.asarray(ops.source(times[m])))[free]
 
-    values = _march(ops, tau, n_steps, load, ops.dirichlet_value, tol)
-    return Trajectory(times=times, values=values)
+    values = _march(ops, tau, n_steps, load, ops.dirichlet_value, tol, 1)
+    return Trajectory(times=times, values=values[0])
 
 
 def _sensitivity_element_data(ops, vfield):
@@ -173,21 +175,24 @@ def _sensitivity_rhs(u_now, u_prev, tau, tris, g, area, a_v, div, kappa, n):
     return rhs
 
 
-def solve_sensitivity(ops: HeatOperators, forward: Trajectory,
-                      vfield: VelocityField, tol=1e-10) -> Trajectory:
-    """Material derivative of the forward trajectory along a velocity field.
+def solve_sensitivity(ops: HeatOperators, forward: Trajectory, vfields,
+                      tol=1e-10) -> list[Trajectory]:
+    """Material derivatives of the forward trajectory along each velocity
+    field, one Trajectory per field.
 
     Same left-hand operator as the forward solve with homogeneous Dirichlet
-    data; starts from zero.
+    data; starts from zero. The fields march together, one block solve per
+    step, and each trajectory is bitwise that of its field marched alone.
     """
     tau = forward.tau
     n = len(ops.mesh.nodes)
     free, _, _ = ops.reduced_system(tau)
-    data = _sensitivity_element_data(ops, vfield)
+    data = [_sensitivity_element_data(ops, f) for f in vfields]
 
     def load(m):
-        return tau * _sensitivity_rhs(forward.values[m], forward.values[m - 1],
-                                      tau, *data, n)[free]
+        return np.stack([
+            tau * _sensitivity_rhs(forward.values[m], forward.values[m - 1],
+                                   tau, *d, n)[free] for d in data])
 
-    values = _march(ops, tau, len(forward.times) - 1, load, 0.0, tol)
-    return Trajectory(times=forward.times.copy(), values=values)
+    values = _march(ops, tau, len(forward.times) - 1, load, 0.0, tol, len(data))
+    return [Trajectory(times=forward.times.copy(), values=v) for v in values]

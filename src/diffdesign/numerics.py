@@ -5,8 +5,10 @@ is authoritative); sparse matrices are ``scipy.sparse`` CSR. The dense
 Cholesky factorization and triangular solves call LAPACK ``potrf`` and
 ``trtrs`` directly (bitwise the results of ``scipy.linalg.cholesky`` and
 ``solve_triangular``, without their per-call checks), one call site each; the
-symmetric pencil solver is ``scipy.linalg.eigh`` and the sparse solver is
-``scipy.sparse.linalg.cg``.
+symmetric pencil solver is ``scipy.linalg.eigh``. The sparse solver is a
+Jacobi-preconditioned CG over a block of right-hand sides that share one
+matrix: the rows iterate in lockstep and share one sparse product per
+iteration, and each row is bitwise ``scipy.sparse.linalg.cg`` on that row.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NoConvergence, NotPositiveDefinite
 
@@ -112,20 +113,72 @@ def generalized_eig(a, b):
     return EigenDecomposition(values, vectors)
 
 
-def cg_solve(a, rhs, tol=1e-10, x0=None, max_iter=None):
-    """Jacobi-preconditioned conjugate gradients for sparse SPD systems
-    (``scipy.sparse.linalg.cg``).
+def _row_dots(u, v):
+    """Row-wise dot products of two C-contiguous (k, n) blocks.
 
-    Iterates until ||A x - rhs|| < tol * ||rhs||; raises NoConvergence
-    after 10*n iterations (or `max_iter` if given). The iteration is
-    deterministic, so repeated solves are bitwise reproducible.
+    Each entry has the bits of ``np.dot(u[i], v[i])``: a batch of 1 x n by
+    n x 1 products goes to BLAS ``ddot`` row by row (``einsum`` sums in
+    another order, and strided rows take another ``ddot`` path).
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def cg_solve(a, rhs, tol=1e-10, x0=None, max_iter=None):
+    """Jacobi-preconditioned conjugate gradients for sparse SPD systems with
+    one right-hand side (1-D `rhs`) or a block of k (a (k, n) `rhs`).
+
+    Row i of the result is bitwise ``scipy.sparse.linalg.cg(a, rhs[i],
+    x0=x0[i], rtol=tol, atol=0, M=jacobi)``: the same operations in the same
+    order, the same ``||A x - rhs|| < tol * ||rhs||`` stop test, and ``rhs[i]``
+    itself for a zero row. The k iterations run in lockstep and share one
+    sparse product ``a @ P.T`` per iteration; a converged row leaves the
+    working set unchanged. Raises NoConvergence when any row is still
+    unconverged after 10*n iterations (or `max_iter` if given).
     """
     a = sp.csr_matrix(a)
+    b = np.ascontiguousarray(rhs, dtype=float)
+    single = b.ndim == 1
+    b = b.reshape(-1, a.shape[0])
+    n = b.shape[1]
+    out = b.copy()
+    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).reshape(b.shape)
+    b_norm = np.sqrt(_row_dots(b, b))
+    atol = tol * b_norm
+    # rows with a zero rhs return it as they are; the rest start iterating
+    rows = np.flatnonzero(b_norm != 0.0)
+    x, b, atol = x[rows], b[rows], atol[rows]
+    warm = x.any(axis=1)
+    r = b.copy()
+    if warm.any():
+        r[warm] = b[warm] - np.ascontiguousarray((a @ x[warm].T).T)
     inv_diag = 1.0 / a.diagonal()
-    jacobi = spla.LinearOperator(a.shape, matvec=lambda r: inv_diag * r)
-    x, info = spla.cg(a, np.asarray(rhs, dtype=float), x0=x0, rtol=tol,
-                      atol=0.0, maxiter=max_iter, M=jacobi)
-    if info != 0:
-        raise NoConvergence(f"CG stopped after {info} iterations short of "
-                            f"||r|| < {tol:.1e} * ||b||")
-    return x
+    n_iter = 10 * n if max_iter is None else max_iter
+    p = rho_prev = None
+    for iteration in range(n_iter):
+        done = np.sqrt(_row_dots(r, r)) < atol
+        if done.any():
+            out[rows[done]] = x[done]
+            keep = ~done
+            rows, x, r, atol = rows[keep], x[keep], r[keep], atol[keep]
+            if iteration > 0:
+                p, rho_prev = p[keep], rho_prev[keep]
+        if len(rows) == 0:
+            break
+        z = inv_diag * r
+        rho_cur = _row_dots(r, z)
+        if iteration > 0:
+            p *= (rho_cur / rho_prev)[:, None]
+            p += z
+        else:
+            p = z
+        q = np.ascontiguousarray((a @ p.T).T)
+        alpha = rho_cur / _row_dots(p, q)
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        rho_prev = rho_cur
+    else:
+        if len(rows):
+            raise NoConvergence(
+                f"CG left {len(rows)} of {len(out)} right-hand sides short of "
+                f"||r|| < {tol:.1e} * ||b|| after {n_iter} iterations")
+    return out[0] if single else out

@@ -108,17 +108,16 @@ class Pipeline:
                 centers = sorted(float(curve.arc[i]) for i in picks)
             bumps = shape.gaussian_bump_basis(curve, cfg.n_basis,
                                               slope=cfg.slope, centers=centers)
-            return [shape.extend_velocity(self.mesh(), b, lam=cfg.lame_lambda,
-                                          mu=cfg.lame_mu) for b in bumps]
+            return shape.extend_velocity(self.mesh(), bumps, lam=cfg.lame_lambda,
+                                         mu=cfg.lame_mu)
         return self._stage("extend", build)
 
     def gramian(self):
         return self._stage("gramian", lambda: shape.gramian(self.basis_fields()))
 
     def sensitivities(self):
-        return self._stage("sensitivities", lambda: [
-            fem.solve_sensitivity(self.heat_operators(), self.forward(), f)
-            for f in self.basis_fields()])
+        return self._stage("sensitivities", lambda: fem.solve_sensitivity(
+            self.heat_operators(), self.forward(), self.basis_fields()))
 
     def tensor(self):
         def build():

@@ -4,11 +4,12 @@ hold-all.
 The interface polygon is recovered from the mesh's region-contrast edges and
 parametrized by arc length from the lexicographically smallest vertex. Basis
 fields are Gaussian bumps of the arc-length geodesic distance times the
-outward vertex normal, plus one constant normal field. Each boundary field is
-extended to a displacement field on the hold-all closure by solving a linear
-elasticity problem with zero Dirichlet data on the hold-all boundary; the
-shape metric is the integral of the gradient contraction of two extended
-fields over the hold-all.
+outward vertex normal, plus one constant normal field. The boundary fields are
+extended to displacement fields on the hold-all closure by one linear
+elasticity problem with zero Dirichlet data on the hold-all boundary: one
+matrix, one block of right-hand sides, one row per field. The shape metric is
+the integral of the gradient contraction of two extended fields over the
+hold-all.
 """
 
 from __future__ import annotations
@@ -237,37 +238,41 @@ def _elasticity_matrix(mesh, elements, lam, mu):
     return mat.tocsr()
 
 
-def extend_velocity(mesh: Mesh, bfield: BoundaryField,
+def extend_velocity(mesh: Mesh, bfields,
                     lam: float = LAME_LAMBDA_DEFAULT,
                     mu: float = LAME_MU_DEFAULT,
-                    tol: float = 1e-10) -> VelocityField:
-    """Extend a boundary field into the hold-all by linear elasticity.
+                    tol: float = 1e-10) -> list[VelocityField]:
+    """Extend boundary fields into the hold-all by linear elasticity, one
+    VelocityField per field.
 
-    Dirichlet data: the boundary field on interface vertices, zero on the
-    hold-all boundary. The result is zero outside the hold-all closure.
+    Dirichlet data: each boundary field on interface vertices, zero on the
+    hold-all boundary. The results are zero outside the hold-all closure.
+    The elasticity matrix is assembled once and all right-hand sides go to
+    one block `cg_solve` call. Raises ValueError when the fields live on
+    different curves.
     """
+    if not bfields:
+        raise ValueError("no fields given")
+    curve = bfields[0].curve
+    if any(b.curve is not curve for b in bfields):
+        raise ValueError("fields live on different curves")
     support = mesh.patches["holdall-closure"]
-    stiff = _elasticity_matrix(mesh, support, lam, mu)
-
-    values = np.zeros((len(mesh.nodes), 2))
-    curve = bfield.curve
-    values[curve.vertices] = bfield.values
+    values = np.zeros((len(bfields), len(mesh.nodes), 2))
+    for v, b in zip(values, bfields):
+        v[curve.vertices] = b.values
 
     fixed_nodes = np.unique(np.concatenate([curve.vertices,
                                             _holdall_boundary_nodes(mesh)]))
     involved = np.unique(mesh.triangles[support])
     free_nodes = np.setdiff1d(involved, fixed_nodes)
-    if len(free_nodes) == 0:
-        return VelocityField(mesh, values, support)
-    free = np.column_stack([2 * free_nodes, 2 * free_nodes + 1]).ravel()
-    fixed = np.column_stack([2 * fixed_nodes, 2 * fixed_nodes + 1]).ravel()
-
-    flat = values.ravel()
-    rhs = -stiff[free][:, fixed] @ flat[fixed]
-    sol = cg_solve(stiff[free][:, free], rhs, tol=tol)
-    flat = flat.copy()
-    flat[free] = sol
-    return VelocityField(mesh, flat.reshape(-1, 2), support)
+    if len(free_nodes):
+        stiff = _elasticity_matrix(mesh, support, lam, mu)
+        free = np.column_stack([2 * free_nodes, 2 * free_nodes + 1]).ravel()
+        fixed = np.column_stack([2 * fixed_nodes, 2 * fixed_nodes + 1]).ravel()
+        flat = values.reshape(len(bfields), -1)
+        rhs = (-stiff[free][:, fixed] @ flat[:, fixed].T).T
+        flat[:, free] = cg_solve(stiff[free][:, free], rhs, tol=tol)
+    return [VelocityField(mesh, v, support) for v in values]
 
 
 def velocity_gradients(field: VelocityField):

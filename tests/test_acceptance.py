@@ -87,9 +87,9 @@ def test_criterion_2_material_derivative_oracle():
     ops = fem.assemble_heat(m)
     forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
     curve = shape.interface_from_mesh(m)
-    vfield = shape.extend_velocity(m, shape.gaussian_bump_basis(curve, 3)[0],
-                                   tol=1e-12)
-    delta = fem.solve_sensitivity(ops, forward, vfield, tol=1e-12)
+    [vfield] = shape.extend_velocity(m, shape.gaussian_bump_basis(curve, 3)[:1],
+                                     tol=1e-12)
+    [delta] = fem.solve_sensitivity(ops, forward, [vfield], tol=1e-12)
     sensor_nodes = np.unique(np.concatenate(
         [m.triangles[m.patches["sensor:0"]].ravel(),
          m.triangles[m.patches["sensor:1"]].ravel()]))

@@ -105,7 +105,7 @@ def fixture_problem():
     ops = fem.assemble_heat(m)
     curve = shape.interface_from_mesh(m)
     bumps = shape.gaussian_bump_basis(curve, 3)
-    fields = [shape.extend_velocity(m, b, tol=1e-12) for b in bumps]
+    fields = shape.extend_velocity(m, bumps, tol=1e-12)
     return m, ops, fields
 
 
@@ -216,7 +216,7 @@ class TestSensitivity:
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=5)
         zero = shape.VelocityField(m, np.zeros_like(fields[0].values),
                                    fields[0].support)
-        traj = fem.solve_sensitivity(ops, forward, zero)
+        [traj] = fem.solve_sensitivity(ops, forward, [zero])
         assert np.all(traj.values == 0.0)
 
     def test_linearity(self, fixture_problem):
@@ -224,9 +224,8 @@ class TestSensitivity:
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=5, tol=1e-12)
         v1, v2 = fields[0], fields[1]
         combo = shape.VelocityField(m, v1.values + v2.values, v1.support)
-        d1 = fem.solve_sensitivity(ops, forward, v1, tol=1e-12)
-        d2 = fem.solve_sensitivity(ops, forward, v2, tol=1e-12)
-        d12 = fem.solve_sensitivity(ops, forward, combo, tol=1e-12)
+        d1, d2, d12 = fem.solve_sensitivity(ops, forward, [v1, v2, combo],
+                                            tol=1e-12)
         scale = np.abs(d12.values).max()
         assert np.abs(d12.values - d1.values - d2.values).max() <= 1e-9 * max(scale, 1.0)
 
@@ -247,7 +246,7 @@ class TestSensitivity:
         from diffdesign.fem import _sensitivity_element_data, _sensitivity_rhs
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=21, tol=1e-13)
-        traj = fem.solve_sensitivity(ops, forward, fields[0], tol=1e-13)
+        [traj] = fem.solve_sensitivity(ops, forward, fields[:1], tol=1e-13)
         tau = forward.tau
         free, a_ff, _ = ops.reduced_system(tau)
         load = _sensitivity_rhs(forward.values[4], forward.values[3], tau,
@@ -271,7 +270,7 @@ class TestSensitivity:
         vals[interior, 0] = (np.sin(2.0 * np.pi * x) * bump)[interior]
         vals[interior, 1] = (np.sin(np.pi * x) * (y - 0.5) * bump)[interior]
         vfield = shape.VelocityField(m, vals, np.arange(len(m.triangles)))
-        traj = fem.solve_sensitivity(ops, forward, vfield, tol=1e-13)
+        [traj] = fem.solve_sensitivity(ops, forward, [vfield], tol=1e-13)
 
         # node map x -> 1-x
         mirrored = m.nodes.copy()
@@ -282,6 +281,27 @@ class TestSensitivity:
         perm[order] = order_m
         final = traj.values[-1]
         assert np.abs(final - final[perm]).max() <= 1e-9
+
+
+class TestMetamorphic:
+    def test_block_march_matches_fields_marched_alone(self, fixture_problem):
+        _, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
+        together = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        for f, traj in zip(fields, together):
+            [alone] = fem.solve_sensitivity(ops, forward, [f], tol=1e-12)
+            assert np.array_equal(traj.values, alone.values)
+            assert np.array_equal(traj.times, alone.times)
+
+    def test_permuted_fields_permute_sensitivities(self, fixture_problem):
+        _, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
+        ref = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        perm = [2, 0, 1]
+        got = fem.solve_sensitivity(ops, forward, [fields[i] for i in perm],
+                                    tol=1e-12)
+        for traj, i in zip(got, perm):
+            assert np.array_equal(traj.values, ref[i].values)
 
 
 class TestFdOracle:
@@ -300,7 +320,7 @@ class TestFdOracle:
     def test_oracle_linear_convergence(self, fixture_problem):
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
-        delta = fem.solve_sensitivity(ops, forward, fields[0], tol=1e-12)
+        [delta] = fem.solve_sensitivity(ops, forward, fields[:1], tol=1e-12)
         sensor_nodes = np.unique(np.concatenate([
             m.triangles[m.patches["sensor:0"]].ravel(),
             m.triangles[m.patches["sensor:1"]].ravel(),
@@ -319,7 +339,7 @@ class TestFdOracle:
     def test_central_difference_tight(self, fixture_problem):
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
-        delta = fem.solve_sensitivity(ops, forward, fields[1], tol=1e-12)
+        [delta] = fem.solve_sensitivity(ops, forward, fields[1:2], tol=1e-12)
         oracle = fd_material_derivative_oracle(
             m, fields[1], 1e-4, n_steps=8, central=True, tol=1e-13)
         sensor_nodes = np.unique(m.triangles[m.patches["sensor:0"]])
@@ -339,9 +359,9 @@ class TestFdOracle:
             ops = fem.assemble_heat(m, kappa_bulk=0.1, kappa_inc=0.1)
             forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
             curve = shape.interface_from_mesh(m)
-            vfield = shape.extend_velocity(
-                m, shape.gaussian_bump_basis(curve, 3)[0], tol=1e-12)
-            delta = fem.solve_sensitivity(ops, forward, vfield, tol=1e-12)
+            [vfield] = shape.extend_velocity(
+                m, shape.gaussian_bump_basis(curve, 3)[:1], tol=1e-12)
+            [delta] = fem.solve_sensitivity(ops, forward, [vfield], tol=1e-12)
 
             tris, g, area, _, _, _ = fem._sensitivity_element_data(ops, vfield)
             grad_u = np.einsum("ei,eia->ea", forward.values[-1][tris], g)

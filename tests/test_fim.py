@@ -22,9 +22,9 @@ def problem():
     forward = fem.solve_forward(ops, horizon=10.0, n_steps=6, tol=1e-12)
     curve = shape.interface_from_mesh(m)
     bumps = shape.gaussian_bump_basis(curve, 3)
-    fields = [shape.extend_velocity(m, b, tol=1e-12) for b in bumps]
+    fields = shape.extend_velocity(m, bumps, tol=1e-12)
     gram = shape.gramian(fields)
-    sens = [fem.solve_sensitivity(ops, forward, f, tol=1e-12) for f in fields]
+    sens = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
     sensors = fim.build_sensor_models(m)
     tensor = fim.elementary_fims(sens, sensors, range(7), gram)
     return m, sensors, sens, gram, tensor
@@ -139,6 +139,24 @@ class TestMetamorphic:
                                           alpha1=2.0 * fim.ALPHA1_DEFAULT)
         doubled = fim.elementary_fims(sens, sensors, range(7), gram)
         assert np.array_equal(doubled.matrices, 4.0 * tensor.matrices)
+
+    def test_permuted_basis_keeps_generalized_eigenvalues(self, problem):
+        # the basis order is a labelling: permuting the boundary fields
+        # permutes the extensions, sensitivities, Gramian and every FIM
+        m, sensors, _, gram, tensor = problem
+        ops = fem.assemble_heat(m)
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=6, tol=1e-12)
+        bumps = shape.gaussian_bump_basis(shape.interface_from_mesh(m), 3)
+        perm = [2, 0, 1]
+        fields = shape.extend_velocity(m, [bumps[i] for i in perm], tol=1e-12)
+        sens = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        gram_p = shape.gramian(fields)
+        tensor_p = fim.elementary_fims(sens, sensors, range(7), gram_p)
+        assert np.array_equal(gram_p, gram[np.ix_(perm, perm)])
+        w = np.ones(tensor.n_weights)
+        ref = numerics.generalized_eig(fim.combine(w, tensor), gram)
+        got = numerics.generalized_eig(fim.combine(w, tensor_p), gram_p)
+        assert np.allclose(got.values, ref.values, rtol=1e-10, atol=0.0)
 
 
 class TestCombine:

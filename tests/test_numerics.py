@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from diffdesign import numerics
 from diffdesign.errors import NoConvergence, NotPositiveDefinite
@@ -208,6 +209,34 @@ class TestGeneralizedEig:
             assert abs(np.sum(1.0 / gen.values) - trace) < 1e-8 * abs(trace)
 
 
+def scipy_cg(a, b, tol, x0=None, max_iter=None):
+    """The reference `cg_solve` must reproduce bit for bit, row by row:
+    scipy's CG with the Jacobi preconditioner; returns (x, info, iterations)."""
+    inv_diag = 1.0 / a.diagonal()
+    jacobi = spla.LinearOperator(a.shape, matvec=lambda r: inv_diag * r)
+    iterations = []
+    x, info = spla.cg(a, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
+                      M=jacobi, callback=lambda _: iterations.append(1))
+    return x, info, len(iterations)
+
+
+@pytest.fixture(scope="module")
+def block_system():
+    """Sparse SPD matrix (n = 300) and a block of right-hand sides whose
+    rows converge at different iterations: random rows at magnitudes 1e-6
+    to 1e6, a unit vector, a smooth row, and a zero row."""
+    rng = np.random.default_rng(21)
+    n = 300
+    r = sp.random(n, n, density=0.02, random_state=22, format="csr")
+    a = sp.csr_matrix(r + r.T + sp.diags(rng.uniform(2.0, 8.0, n)))
+    b = rng.standard_normal((7, n)) * np.logspace(-6, 6, 7)[:, None]
+    b[1] = 0.0
+    b[1, 17] = 1.0
+    b[2] = np.sin(np.linspace(0.0, np.pi, n))
+    b[4] = 0.0
+    return a, b
+
+
 class TestCgSolve:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
@@ -274,3 +303,56 @@ class TestCgSolve:
         x1 = numerics.cg_solve(a, rhs)
         x2 = numerics.cg_solve(a, rhs)
         assert np.array_equal(x1, x2)
+
+    def assert_rows_match_scipy(self, a, b, tol, x0=None):
+        got = numerics.cg_solve(a, b, tol=tol, x0=x0)
+        assert got.shape == b.shape
+        counts = set()
+        for i in range(len(b)):
+            want, info, its = scipy_cg(a, b[i], tol, None if x0 is None else x0[i])
+            assert info == 0
+            assert np.array_equal(got[i], want), i
+            counts.add(its)
+        return counts
+
+    def test_block_rows_bitwise_scipy_cold(self, block_system):
+        a, b = block_system
+        counts = self.assert_rows_match_scipy(a, b, 1e-10)
+        # zero row (no iterations) plus rows stopping at different iterations
+        assert len(counts) >= 3
+
+    def test_block_rows_bitwise_scipy_warm(self, block_system):
+        a, b = block_system
+        rng = np.random.default_rng(23)
+        x0 = rng.standard_normal(b.shape)
+        # one row starts next to its solution and stops early
+        x0[2] = scipy_cg(a, b[2], 1e-6)[0]
+        counts = self.assert_rows_match_scipy(a, b, 1e-10, x0=x0)
+        assert len(counts) >= 3
+
+    def test_zero_row_with_warm_start_returns_zeros(self, block_system):
+        a, b = block_system
+        x0 = np.ones(b.shape)
+        got = numerics.cg_solve(a, b, x0=x0)
+        assert np.array_equal(got[4], np.zeros(b.shape[1]))
+        assert np.array_equal(got[4], scipy_cg(a, b[4], 1e-10, x0[4])[0])
+
+    def test_1d_rhs_bitwise_scipy(self, block_system):
+        a, b = block_system
+        x0 = np.linspace(-1.0, 1.0, b.shape[1])
+        got = numerics.cg_solve(a, b[3], tol=1e-10, x0=x0)
+        assert got.shape == b[3].shape
+        assert np.array_equal(got, scipy_cg(a, b[3], 1e-10, x0)[0])
+
+    def test_block_no_convergence_when_any_row_hits_max_iter(self, block_system):
+        a, b = block_system
+        # scipy tests the residual before each update, so a row that stops
+        # after k updates needs max_iter > k
+        counts = [scipy_cg(a, row, 1e-10)[2] for row in b]
+        cap = max(counts)
+        infos = [scipy_cg(a, row, 1e-10, max_iter=cap)[1] for row in b]
+        assert 0 in infos and max(infos) == cap
+        with pytest.raises(NoConvergence):
+            numerics.cg_solve(a, b, tol=1e-10, max_iter=cap)
+        got = numerics.cg_solve(a, b, tol=1e-10, max_iter=cap + 1)
+        assert np.array_equal(got, numerics.cg_solve(a, b, tol=1e-10))

@@ -234,7 +234,7 @@ def extended_fields(circle_interface_mesh):
     m = circle_interface_mesh
     curve = shape.interface_from_mesh(m)
     bumps = shape.gaussian_bump_basis(curve, 9)
-    fields = [shape.extend_velocity(m, b, tol=1e-12) for b in bumps]
+    fields = shape.extend_velocity(m, bumps, tol=1e-12)
     return m, curve, bumps, fields
 
 
@@ -243,7 +243,7 @@ class TestExtendVelocity:
         m = circle_interface_mesh
         curve = shape.interface_from_mesh(m)
         zero = shape.BoundaryField(curve, np.zeros(len(curve.vertices)))
-        v = shape.extend_velocity(m, zero)
+        [v] = shape.extend_velocity(m, [zero])
         assert np.all(v.values == 0.0)
 
     def test_boundary_data_exact(self, extended_fields):
@@ -264,9 +264,8 @@ class TestExtendVelocity:
         m = circle_interface_mesh
         curve = shape.interface_from_mesh(m)
         b = shape.gaussian_bump_basis(curve, 2)[0]
-        v1 = shape.extend_velocity(m, b, tol=1e-13)
         b3 = shape.BoundaryField(curve, 3.0 * b.amplitudes)
-        v3 = shape.extend_velocity(m, b3, tol=1e-13)
+        v1, v3 = shape.extend_velocity(m, [b, b3], tol=1e-13)
         assert np.abs(v3.values - 3.0 * v1.values).max() <= 1e-10
 
     def test_energy_optimality(self, extended_fields):
@@ -295,7 +294,7 @@ class TestExtendVelocity:
         m = circle_interface_mesh
         curve = shape.interface_from_mesh(m)
         b = shape.gaussian_bump_basis(curve, 3)[1]
-        mine = shape.extend_velocity(m, b, tol=1e-13)
+        [mine] = shape.extend_velocity(m, [b], tol=1e-13)
 
         support = m.patches["holdall-closure"]
         stiff = _elasticity_matrix(m, support, shape.LAME_LAMBDA_DEFAULT,
@@ -313,6 +312,19 @@ class TestExtendVelocity:
         direct = spla.spsolve(stiff[free][:, free].tocsc(), rhs)
         scale = max(np.abs(direct).max(), 1e-30)
         assert np.abs(mine.values.ravel()[free] - direct).max() <= 1e-8 * scale
+
+    def test_block_matches_fields_extended_alone(self, extended_fields):
+        m, _, bumps, fields = extended_fields
+        for b, f in zip(bumps[::4], fields[::4]):
+            [alone] = shape.extend_velocity(m, [b], tol=1e-12)
+            assert np.array_equal(f.values, alone.values)
+
+    def test_fields_on_different_curves_rejected(self, circle_interface_mesh):
+        m = circle_interface_mesh
+        b1 = shape.gaussian_bump_basis(shape.interface_from_mesh(m), 2)[0]
+        b2 = shape.gaussian_bump_basis(shape.interface_from_mesh(m), 2)[0]
+        with pytest.raises(ValueError, match="different curves"):
+            shape.extend_velocity(m, [b1, b2])
 
     def test_mesh_deformation_keeps_positive_areas(self, extended_fields):
         m, _, _, fields = extended_fields
