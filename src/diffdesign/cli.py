@@ -113,11 +113,12 @@ def _run(args):
         return 0
 
     if args.command == "sensitivities":
-        sens = pipe.sensitivities()
-        for i, (f, traj) in enumerate(zip(pipe.basis_fields(), sens)):
-            mesh_io.write_vtk(pipe.mesh(), {"velocity": f.values},
+        sens = pipe.sensitivities().values
+        basis = pipe.basis_fields().values
+        for i in range(len(sens)):
+            mesh_io.write_vtk(pipe.mesh(), {"velocity": basis[i]},
                               out / f"basis_{i:02d}.vtk")
-            mesh_io.write_vtk(pipe.mesh(), {"du": traj.values[-1]},
+            mesh_io.write_vtk(pipe.mesh(), {"du": sens[i, -1]},
                               out / f"sensitivity_{i:02d}_final.vtk")
         print(f"{len(sens)} sensitivity trajectories")
         return 0

@@ -5,8 +5,10 @@ Each sensor patch carries the discrete second-order operator
 ``a0 * K + a1 * M`` (natural boundary conditions, lumped patch mass) whose
 square is the inverse covariance of the distributed measurement. The
 elementary information matrix of sensor k at instant l is the Gram matrix of
-the whitened sensitivity restrictions; the combined matrix is their weighted
-sum in a fixed (sensor, instant) row-major enumeration.
+the whitened sensitivity restrictions: the sensitivity block is restricted to
+the patch and whitened for all basis fields at once, with one sparse product
+per (sensor, instant) pair. The combined matrix is the weighted sum of the
+elementary matrices in a fixed (sensor, instant) row-major enumeration.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class SensorModel:
     stiffness: sp.csr_matrix     # patch Laplacian, natural BCs, local numbering
     lumped_mass: np.ndarray      # diagonal patch mass
 
-    def restrict(self, nodal):
-        """Restrict a global nodal field to patch-local numbering."""
-        return nodal[self.patch.nodes]
-
 
 def build_sensor_model(mesh: Mesh, sensor_id: int,
                        alpha0=ALPHA0_DEFAULT, alpha1=ALPHA1_DEFAULT) -> SensorModel:
@@ -61,10 +59,12 @@ def build_sensor_models(mesh: Mesh, alpha0=ALPHA0_DEFAULT,
 
 
 def apply_precision_root(sensor: SensorModel, local_field):
-    """Apply the discrete covariance-root inverse: M^-1 (a0 K + a1 M) f."""
+    """Apply the discrete covariance-root inverse: M^-1 (a0 K + a1 M) f, to
+    one patch-local field or to a block with one field per column."""
+    mass = sensor.lumped_mass if np.ndim(local_field) == 1 else sensor.lumped_mass[:, None]
     out = sensor.alpha0 * (sensor.stiffness @ local_field) \
-        + sensor.alpha1 * (sensor.lumped_mass * local_field)
-    return out / sensor.lumped_mass
+        + sensor.alpha1 * (mass * local_field)
+    return out / mass
 
 
 @dataclass
@@ -101,36 +101,28 @@ class FimTensor:
 def elementary_fims(sensitivities, sensors, instants, gramian) -> FimTensor:
     """Assemble the elementary FIM of every sensor/instant pair.
 
-    `sensitivities` lists one Trajectory per basis field; `instants` are
-    indices into the shared time grid.
+    `sensitivities` is the Trajectory of the basis block, values
+    (n_basis, n_steps + 1, n_nodes); `instants` are indices into its time
+    grid.
     """
-    n_basis = len(sensitivities)
-    n_steps = len(sensitivities[0].times) - 1
+    n_basis, n_times = sensitivities.values.shape[:2]
+    n_steps = n_times - 1
     instants = np.asarray(instants, dtype=int)
     if len(instants) and (instants.min() < 0 or instants.max() > n_steps):
         raise InstantOutOfRange(
             f"instants must lie in [0, {n_steps}], got {instants.min()}..{instants.max()}")
-    for traj in sensitivities:
-        if len(traj.times) - 1 != n_steps:
-            raise ValueError("sensitivity trajectories disagree on the time grid")
 
     mats = np.zeros((len(sensors), len(instants), n_basis, n_basis))
     for k, sensor in enumerate(sensors):
-        sqrt_mass = np.sqrt(sensor.lumped_mass)
+        sqrt_mass = np.sqrt(sensor.lumped_mass)[:, None]
         for li, step in enumerate(instants):
-            whitened = np.empty((len(sensor.patch.nodes), n_basis))
-            for i, traj in enumerate(sensitivities):
-                local = sensor.restrict(traj.values[step])
-                whitened[:, i] = apply_precision_root(sensor, local) * sqrt_mass
+            local = sensitivities.values[:, step, sensor.patch.nodes].T
+            whitened = apply_precision_root(sensor, local) * sqrt_mass
             upper = np.triu(whitened.T @ whitened)
             mats[k, li] = upper + np.triu(upper, 1).T
     return FimTensor(matrices=mats, gramian=np.asarray(gramian, dtype=float),
                      instants=instants, alpha0=sensors[0].alpha0 if sensors else ALPHA0_DEFAULT,
                      alpha1=sensors[0].alpha1 if sensors else ALPHA1_DEFAULT)
-
-
-def _weights_of(design):
-    return np.asarray(getattr(design, "weights", design), dtype=float)
 
 
 def weighted_sum(weights, mats):
@@ -148,19 +140,15 @@ def weighted_sum(weights, mats):
     return np.tensordot(w[nz], mats[nz], axes=1)
 
 
-def combine(design, tensor: FimTensor):
+def combine(weights, tensor: FimTensor):
     """Combined FIM: the weighted sum of the elementary matrices."""
-    return weighted_sum(_weights_of(design), tensor.flat())
-
-
-def aggregate_spatial(tensor: FimTensor):
-    """Per-sensor information summed over all instants: (n_obs, nb, nb)."""
-    return tensor.matrices.sum(axis=1)
+    return weighted_sum(weights, tensor.flat())
 
 
 def spatial_tensor(tensor: FimTensor) -> FimTensor:
-    """Tensor view of the spatial-only problem (one synthetic instant)."""
-    mats = aggregate_spatial(tensor)[:, None, :, :]
+    """Tensor of the spatial-only problem: each sensor's information summed
+    over all instants, as one synthetic instant."""
+    mats = tensor.matrices.sum(axis=1)[:, None, :, :]
     return FimTensor(matrices=mats, gramian=tensor.gramian,
                      instants=np.array([-1]), alpha0=tensor.alpha0,
                      alpha1=tensor.alpha1)

@@ -106,10 +106,10 @@ class Pipeline:
                 dist = shape.graph_geodesics(curve)
                 picks = shape.farthest_point_centers(dist, cfg.n_basis - 1, seed=0)
                 centers = sorted(float(curve.arc[i]) for i in picks)
-            bumps = shape.gaussian_bump_basis(curve, cfg.n_basis,
-                                              slope=cfg.slope, centers=centers)
-            return shape.extend_velocity(self.mesh(), bumps, lam=cfg.lame_lambda,
-                                         mu=cfg.lame_mu)
+            amplitudes = shape.gaussian_bump_basis(curve, cfg.n_basis,
+                                                   slope=cfg.slope, centers=centers)
+            return shape.extend_velocity(self.mesh(), curve, amplitudes,
+                                         lam=cfg.lame_lambda, mu=cfg.lame_mu)
         return self._stage("extend", build)
 
     def gramian(self):
@@ -195,17 +195,16 @@ class Pipeline:
             for step in range(len(self.forward().times)):
                 self._write(f"fields/forward_{step:04d}.vtk",
                             lambda p, s=step: self.write_forward_vtk(s, p))
-            fields = self.basis_fields()
-            for i, f in enumerate(fields):
+            basis = self.basis_fields()
+            for i, v in enumerate(basis.values):
                 self._write(f"fields/basis_{i:02d}.vtk",
-                            lambda p, v=f: mesh_io.write_vtk(
-                                m, {"velocity": v.values}, p))
+                            lambda p, v=v: mesh_io.write_vtk(
+                                m, {"velocity": v}, p))
             # eigen-fields: basis combinations by descending eigenvalue
             order = np.argsort(result.eigenvalues)[::-1]
-            stack = np.stack([f.values for f in fields])
             for rank, idx in enumerate(order):
                 coeff = result.eigenvectors[:, idx]
-                values = np.tensordot(coeff, stack, axes=1)
+                values = np.tensordot(coeff, basis.values, axes=1)
                 self._write(f"fields/eigenfield_{rank:02d}.vtk",
                             lambda p, v=values: mesh_io.write_vtk(
                                 m, {"velocity": v}, p))

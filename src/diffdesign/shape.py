@@ -2,14 +2,15 @@
 hold-all.
 
 The interface polygon is recovered from the mesh's region-contrast edges and
-parametrized by arc length from the lexicographically smallest vertex. Basis
-fields are Gaussian bumps of the arc-length geodesic distance times the
-outward vertex normal, plus one constant normal field. The boundary fields are
-extended to displacement fields on the hold-all closure by one linear
-elasticity problem with zero Dirichlet data on the hold-all boundary: one
-matrix, one block of right-hand sides, one row per field. The shape metric is
-the integral of the gradient contraction of two extended fields over the
-hold-all.
+parametrized by arc length from the lexicographically smallest vertex. The k
+basis fields are one block throughout: a (k, n_vertices) array of normal
+amplitudes (Gaussian bumps of the arc-length geodesic distance plus one
+constant field) on the interface, extended to one (k, n_nodes, 2)
+`VelocityField` on the hold-all closure by one linear elasticity problem with
+zero Dirichlet data on the hold-all boundary: one matrix, one block of
+right-hand sides, one row per field. The shape metric is the integral of the
+gradient contraction of two extended fields over the hold-all, taken from the
+(k, e, 2, 2) block of element Jacobians.
 """
 
 from __future__ import annotations
@@ -49,24 +50,13 @@ class InterfaceCurve:
 
 
 @dataclass
-class BoundaryField:
-    """Per-interface-vertex vectors, each parallel to the vertex normal."""
-
-    curve: InterfaceCurve
-    amplitudes: np.ndarray    # signed amplitude along the outward normal
-
-    @property
-    def values(self):
-        return self.amplitudes[:, None] * self.curve.normals
-
-
-@dataclass
 class VelocityField:
-    """Nodal displacement field supported on the hold-all closure."""
+    """Block of k nodal displacement fields supported on the hold-all
+    closure."""
 
     mesh: Mesh
-    values: np.ndarray        # (n_nodes, 2)
-    support: np.ndarray       # element ids carrying the field
+    values: np.ndarray        # (k, n_nodes, 2)
+    support: np.ndarray       # element ids carrying the fields
 
 
 def interface_from_mesh(mesh: Mesh) -> InterfaceCurve:
@@ -131,7 +121,8 @@ def wraparound_distance(r, centers, length):
 
 def gaussian_bump_basis(curve: InterfaceCurve, n_basis: int,
                         slope: float = SLOPE_DEFAULT, centers=None):
-    """Bump fields exp(-slope * d(r, r_i)^2) plus one constant normal field.
+    """Normal amplitudes of the bumps exp(-slope * d(r, r_i)^2) plus one
+    constant field, one row per field: (n_basis, n_vertices).
 
     `centers` lists the arc-length positions of the n_basis - 1 bumps;
     omitted centers default to equidistant positions starting at 0.
@@ -149,12 +140,8 @@ def gaussian_bump_basis(curve: InterfaceCurve, n_basis: int,
     if slope <= 0.0:
         raise ValueError("slope factor must be positive")
 
-    fields = []
-    for c in centers:
-        d = wraparound_distance(curve.arc, np.array([c]), curve.length)[:, 0]
-        fields.append(BoundaryField(curve, np.exp(-slope * d * d)))
-    fields.append(BoundaryField(curve, np.ones(len(curve.vertices))))
-    return fields
+    d = wraparound_distance(centers, curve.arc, curve.length)
+    return np.vstack([np.exp(-slope * d * d), np.ones(len(curve.vertices))])
 
 
 def graph_geodesics(arg):
@@ -238,28 +225,25 @@ def _elasticity_matrix(mesh, elements, lam, mu):
     return mat.tocsr()
 
 
-def extend_velocity(mesh: Mesh, bfields,
+def extend_velocity(mesh: Mesh, curve: InterfaceCurve, amplitudes,
                     lam: float = LAME_LAMBDA_DEFAULT,
                     mu: float = LAME_MU_DEFAULT,
-                    tol: float = 1e-10) -> list[VelocityField]:
-    """Extend boundary fields into the hold-all by linear elasticity, one
-    VelocityField per field.
+                    tol: float = 1e-10) -> VelocityField:
+    """Extend normal fields on the interface into the hold-all by linear
+    elasticity; `amplitudes` holds one row of normal amplitudes per field.
 
-    Dirichlet data: each boundary field on interface vertices, zero on the
-    hold-all boundary. The results are zero outside the hold-all closure.
+    Dirichlet data: amplitude times vertex normal on the interface, zero on
+    the hold-all boundary. The fields are zero outside the hold-all closure.
     The elasticity matrix is assembled once and all right-hand sides go to
-    one block `cg_solve` call. Raises ValueError when the fields live on
-    different curves.
+    one block `cg_solve` call.
     """
-    if not bfields:
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    k = len(amplitudes)
+    if k == 0:
         raise ValueError("no fields given")
-    curve = bfields[0].curve
-    if any(b.curve is not curve for b in bfields):
-        raise ValueError("fields live on different curves")
     support = mesh.patches["holdall-closure"]
-    values = np.zeros((len(bfields), len(mesh.nodes), 2))
-    for v, b in zip(values, bfields):
-        v[curve.vertices] = b.values
+    values = np.zeros((k, len(mesh.nodes), 2))
+    values[:, curve.vertices] = amplitudes[:, :, None] * curve.normals
 
     fixed_nodes = np.unique(np.concatenate([curve.vertices,
                                             _holdall_boundary_nodes(mesh)]))
@@ -269,41 +253,32 @@ def extend_velocity(mesh: Mesh, bfields,
         stiff = _elasticity_matrix(mesh, support, lam, mu)
         free = np.column_stack([2 * free_nodes, 2 * free_nodes + 1]).ravel()
         fixed = np.column_stack([2 * fixed_nodes, 2 * fixed_nodes + 1]).ravel()
-        flat = values.reshape(len(bfields), -1)
+        flat = values.reshape(k, -1)
         rhs = (-stiff[free][:, fixed] @ flat[:, fixed].T).T
         flat[:, free] = cg_solve(stiff[free][:, free], rhs, tol=tol)
-    return [VelocityField(mesh, v, support) for v in values]
+    return VelocityField(mesh, values, support)
 
 
-def velocity_gradients(field: VelocityField):
-    """Element-wise Jacobians DV (constant per element) on the support, with
-    the support's P1 gradients and areas."""
-    mesh = field.mesh
-    tris = mesh.triangles[field.support]
+def velocity_gradients(fields: VelocityField):
+    """Element-wise Jacobians DV (constant per element) of every field on the
+    support, (k, e, 2, 2), with the support's P1 gradients and areas."""
+    mesh = fields.mesh
+    tris = mesh.triangles[fields.support]
     g, area = p1_gradients(mesh.nodes, tris)
-    v = field.values[tris]                       # (e, 3, 2)
-    jac = np.einsum("eia,eib->eab", v, g)        # DV[a,b] = dV_a / dx_b
+    v = fields.values[:, tris]                   # (k, e, 3, 2)
+    jac = np.einsum("keia,eib->keab", v, g)      # DV[a,b] = dV_a / dx_b
     return jac, g, area
 
 
-def gramian(fields):
+def gramian(fields: VelocityField):
     """Shape-metric Gramian B_ij = integral over the hold-all of
     grad V_i : grad V_j, assembled element-wise."""
-    if not fields:
-        raise ValueError("no fields given")
-    mesh = fields[0].mesh
-    jacs = []
-    areas = None
-    for f in fields:
-        if f.mesh is not mesh:
-            raise ValueError("fields live on different meshes")
-        jac, _, areas = velocity_gradients(f)
-        jacs.append(jac)
-    n = len(fields)
+    jac, _, areas = velocity_gradients(fields)
+    n = len(jac)
     b = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            val = float(np.sum(areas * np.einsum("eab,eab->e", jacs[i], jacs[j])))
+            val = float(np.sum(areas * np.einsum("eab,eab->e", jac[i], jac[j])))
             b[i, j] = val
             b[j, i] = val
     return b

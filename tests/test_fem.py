@@ -5,22 +5,24 @@ import pytest
 
 from diffdesign import fem, mesh, shape
 
+from test_shape import rows
+
 
 class MeshInversion(Exception):
     """Node displacement produced a non-positive triangle area."""
 
 
-def displaced_mesh(m, vfield, step):
-    """Copy of the mesh with nodes moved by step * V; connectivity and tags
-    are unchanged. Raises MeshInversion when an element area turns
-    non-positive."""
-    moved = dataclasses.replace(m, nodes=m.nodes + step * vfield.values)
+def displaced_mesh(m, velocity, step):
+    """Copy of the mesh with nodes moved by step * V, V the (n_nodes, 2)
+    nodal velocity; connectivity and tags are unchanged. Raises
+    MeshInversion when an element area turns non-positive."""
+    moved = dataclasses.replace(m, nodes=m.nodes + step * velocity)
     if moved.areas().min() <= 0.0:
         raise MeshInversion(f"displacement step {step} inverts an element")
     return moved
 
 
-def fd_material_derivative_oracle(m, vfield, tau_fd,
+def fd_material_derivative_oracle(m, velocity, tau_fd,
                                   kappa_bulk=fem.KAPPA_BULK_DEFAULT,
                                   kappa_inc=fem.KAPPA_INC_DEFAULT,
                                   u_d=fem.U_DIRICHLET_DEFAULT,
@@ -29,7 +31,8 @@ def fd_material_derivative_oracle(m, vfield, tau_fd,
     """Finite-difference material derivative via node displacement.
 
     Solves the forward problem on meshes with nodes moved by +tau_fd (and
-    -tau_fd for the central variant) along V and differences the nodal
+    -tau_fd for the central variant) along the nodal velocity V and
+    differences the nodal
     trajectories; identical connectivity makes the nodal difference exactly
     the material derivative's finite difference.
     """
@@ -38,9 +41,9 @@ def fd_material_derivative_oracle(m, vfield, tau_fd,
                                 kappa_inc=kappa_inc, u_d=u_d)
         return fem.solve_forward(ops, horizon=horizon, n_steps=n_steps, tol=tol)
 
-    plus = solve_on(displaced_mesh(m, vfield, tau_fd))
+    plus = solve_on(displaced_mesh(m, velocity, tau_fd))
     if central:
-        minus = solve_on(displaced_mesh(m, vfield, -tau_fd))
+        minus = solve_on(displaced_mesh(m, velocity, -tau_fd))
         diff = (plus.values - minus.values) / (2.0 * tau_fd)
     else:
         base = solve_on(m)
@@ -105,7 +108,7 @@ def fixture_problem():
     ops = fem.assemble_heat(m)
     curve = shape.interface_from_mesh(m)
     bumps = shape.gaussian_bump_basis(curve, 3)
-    fields = shape.extend_velocity(m, bumps, tol=1e-12)
+    fields = shape.extend_velocity(m, curve, bumps, tol=1e-12)
     return m, ops, fields
 
 
@@ -214,31 +217,30 @@ class TestSensitivity:
     def test_zero_velocity_zero_sensitivity(self, fixture_problem):
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=5)
-        zero = shape.VelocityField(m, np.zeros_like(fields[0].values),
-                                   fields[0].support)
-        [traj] = fem.solve_sensitivity(ops, forward, [zero])
+        zero = shape.VelocityField(m, np.zeros_like(fields.values[:1]),
+                                   fields.support)
+        traj = fem.solve_sensitivity(ops, forward, zero)
         assert np.all(traj.values == 0.0)
 
     def test_linearity(self, fixture_problem):
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=5, tol=1e-12)
-        v1, v2 = fields[0], fields[1]
-        combo = shape.VelocityField(m, v1.values + v2.values, v1.support)
-        d1, d2, d12 = fem.solve_sensitivity(ops, forward, [v1, v2, combo],
-                                            tol=1e-12)
-        scale = np.abs(d12.values).max()
-        assert np.abs(d12.values - d1.values - d2.values).max() <= 1e-9 * max(scale, 1.0)
+        v1, v2 = fields.values[:2]
+        block = shape.VelocityField(m, np.stack([v1, v2, v1 + v2]), fields.support)
+        d1, d2, d12 = fem.solve_sensitivity(ops, forward, block, tol=1e-12).values
+        scale = np.abs(d12).max()
+        assert np.abs(d12 - d1 - d2).max() <= 1e-9 * max(scale, 1.0)
 
     def test_rhs_zero_outside_support(self, fixture_problem):
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=5)
         from diffdesign.fem import _sensitivity_element_data, _sensitivity_rhs
-        data = _sensitivity_element_data(ops, fields[0])
+        data = _sensitivity_element_data(ops, fields)
         rhs = _sensitivity_rhs(forward.values[3], forward.values[2], forward.tau,
                                *data, len(m.nodes))
-        supported = np.unique(m.triangles[fields[0].support])
+        supported = np.unique(m.triangles[fields.support])
         outside = np.setdiff1d(np.arange(len(m.nodes)), supported)
-        assert np.all(rhs[outside] == 0.0)
+        assert np.all(rhs[:, outside] == 0.0)
 
     def test_step_matches_direct_sparse_solve(self, fixture_problem):
         # one sensitivity step cross-checked against an unrelated solver
@@ -246,17 +248,18 @@ class TestSensitivity:
         from diffdesign.fem import _sensitivity_element_data, _sensitivity_rhs
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=21, tol=1e-13)
-        [traj] = fem.solve_sensitivity(ops, forward, fields[:1], tol=1e-13)
+        first = rows(fields, slice(0, 1))
+        [traj] = fem.solve_sensitivity(ops, forward, first, tol=1e-13).values
         tau = forward.tau
         free, a_ff, _ = ops.reduced_system(tau)
-        load = _sensitivity_rhs(forward.values[4], forward.values[3], tau,
-                                *_sensitivity_element_data(ops, fields[0]),
-                                len(m.nodes))
-        rhs = (ops.mass @ traj.values[3])[free] + tau * load[free]
+        [load] = _sensitivity_rhs(forward.values[4], forward.values[3], tau,
+                                  *_sensitivity_element_data(ops, first),
+                                  len(m.nodes))
+        rhs = (ops.mass @ traj[3])[free] + tau * load[free]
         direct = spla.spsolve(a_ff.tocsc(), rhs)
         scale = max(np.abs(direct).max(), 1e-30)
-        assert np.abs(traj.values[4][free] - direct).max() <= 1e-8 * scale
-        assert np.all(traj.values[:, ops.dirichlet_nodes] == 0.0)
+        assert np.abs(traj[4][free] - direct).max() <= 1e-8 * scale
+        assert np.all(traj[:, ops.dirichlet_nodes] == 0.0)
 
     def test_mirror_symmetry(self):
         m = crossed_mesh(8, dirichlet="top")
@@ -269,8 +272,8 @@ class TestSensitivity:
         vals = np.zeros((len(m.nodes), 2))
         vals[interior, 0] = (np.sin(2.0 * np.pi * x) * bump)[interior]
         vals[interior, 1] = (np.sin(np.pi * x) * (y - 0.5) * bump)[interior]
-        vfield = shape.VelocityField(m, vals, np.arange(len(m.triangles)))
-        [traj] = fem.solve_sensitivity(ops, forward, [vfield], tol=1e-13)
+        vfield = shape.VelocityField(m, vals[None], np.arange(len(m.triangles)))
+        [traj] = fem.solve_sensitivity(ops, forward, vfield, tol=1e-13).values
 
         # node map x -> 1-x
         mirrored = m.nodes.copy()
@@ -279,7 +282,7 @@ class TestSensitivity:
         order_m = np.lexsort((mirrored[:, 1], mirrored[:, 0]))
         perm = np.empty(len(m.nodes), dtype=int)
         perm[order] = order_m
-        final = traj.values[-1]
+        final = traj[-1]
         assert np.abs(final - final[perm]).max() <= 1e-9
 
 
@@ -288,50 +291,50 @@ class TestMetamorphic:
         _, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
         together = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
-        for f, traj in zip(fields, together):
-            [alone] = fem.solve_sensitivity(ops, forward, [f], tol=1e-12)
-            assert np.array_equal(traj.values, alone.values)
-            assert np.array_equal(traj.times, alone.times)
+        for i, values in enumerate(together.values):
+            alone = fem.solve_sensitivity(ops, forward, rows(fields, slice(i, i + 1)),
+                                          tol=1e-12)
+            assert np.array_equal(values, alone.values[0])
+            assert np.array_equal(together.times, alone.times)
 
     def test_permuted_fields_permute_sensitivities(self, fixture_problem):
         _, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
         ref = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
         perm = [2, 0, 1]
-        got = fem.solve_sensitivity(ops, forward, [fields[i] for i in perm],
-                                    tol=1e-12)
-        for traj, i in zip(got, perm):
-            assert np.array_equal(traj.values, ref[i].values)
+        got = fem.solve_sensitivity(ops, forward, rows(fields, perm), tol=1e-12)
+        for values, i in zip(got.values, perm):
+            assert np.array_equal(values, ref.values[i])
 
 
 class TestFdOracle:
     def test_zero_velocity(self, fixture_problem):
         m, _, fields = fixture_problem
-        zero = shape.VelocityField(m, np.zeros_like(fields[0].values),
-                                   fields[0].support)
+        zero = np.zeros_like(fields.values[0])
         traj = fd_material_derivative_oracle(m, zero, 1e-3, n_steps=3)
         assert np.all(traj.values == 0.0)
 
     def test_mesh_inversion_detected(self, fixture_problem):
         m, _, fields = fixture_problem
         with pytest.raises(MeshInversion):
-            displaced_mesh(m, fields[0], 50.0)
+            displaced_mesh(m, fields.values[0], 50.0)
 
     def test_oracle_linear_convergence(self, fixture_problem):
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
-        [delta] = fem.solve_sensitivity(ops, forward, fields[:1], tol=1e-12)
+        [delta] = fem.solve_sensitivity(ops, forward, rows(fields, slice(0, 1)),
+                                        tol=1e-12).values
         sensor_nodes = np.unique(np.concatenate([
             m.triangles[m.patches["sensor:0"]].ravel(),
             m.triangles[m.patches["sensor:1"]].ravel(),
         ]))
-        scale = np.abs(delta.values[:, sensor_nodes]).max()
+        scale = np.abs(delta[:, sensor_nodes]).max()
         errs = {}
         for tau_fd in (1e-3, 1e-4):
             oracle = fd_material_derivative_oracle(
-                m, fields[0], tau_fd, n_steps=8, tol=1e-13)
+                m, fields.values[0], tau_fd, n_steps=8, tol=1e-13)
             errs[tau_fd] = np.abs(
-                (oracle.values - delta.values)[:, sensor_nodes]).max()
+                (oracle.values - delta)[:, sensor_nodes]).max()
         ratio = errs[1e-3] / errs[1e-4]
         assert 5.0 <= ratio <= 15.0
         assert errs[1e-4] <= 3e-2 * scale
@@ -339,12 +342,13 @@ class TestFdOracle:
     def test_central_difference_tight(self, fixture_problem):
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
-        [delta] = fem.solve_sensitivity(ops, forward, fields[1:2], tol=1e-12)
+        [delta] = fem.solve_sensitivity(ops, forward, rows(fields, slice(1, 2)),
+                                        tol=1e-12).values
         oracle = fd_material_derivative_oracle(
-            m, fields[1], 1e-4, n_steps=8, central=True, tol=1e-13)
+            m, fields.values[1], 1e-4, n_steps=8, central=True, tol=1e-13)
         sensor_nodes = np.unique(m.triangles[m.patches["sensor:0"]])
-        scale = np.abs(delta.values[:, sensor_nodes]).max()
-        err = np.abs((oracle.values - delta.values)[:, sensor_nodes]).max()
+        scale = np.abs(delta[:, sensor_nodes]).max()
+        err = np.abs((oracle.values - delta)[:, sensor_nodes]).max()
         assert err <= 3e-2 * scale
 
     def test_no_contrast_transport_identity(self):
@@ -359,15 +363,15 @@ class TestFdOracle:
             ops = fem.assemble_heat(m, kappa_bulk=0.1, kappa_inc=0.1)
             forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
             curve = shape.interface_from_mesh(m)
-            [vfield] = shape.extend_velocity(
-                m, shape.gaussian_bump_basis(curve, 3)[:1], tol=1e-12)
-            [delta] = fem.solve_sensitivity(ops, forward, [vfield], tol=1e-12)
+            vfield = shape.extend_velocity(
+                m, curve, shape.gaussian_bump_basis(curve, 3)[:1], tol=1e-12)
+            [delta] = fem.solve_sensitivity(ops, forward, vfield, tol=1e-12).values
 
             tris, g, area, _, _, _ = fem._sensitivity_element_data(ops, vfield)
             grad_u = np.einsum("ei,eia->ea", forward.values[-1][tris], g)
-            v_elem = vfield.values[tris].mean(axis=1)
+            v_elem = vfield.values[0][tris].mean(axis=1)
             transport = np.einsum("ea,ea->e", v_elem, grad_u)
-            du_elem = delta.values[-1][tris].mean(axis=1)
+            du_elem = delta[-1][tris].mean(axis=1)
             num = np.sqrt(np.sum(area * (du_elem - transport) ** 2))
             den = np.sqrt(np.sum(area * transport ** 2))
             errors.append(num / den)

@@ -22,7 +22,7 @@ def problem():
     forward = fem.solve_forward(ops, horizon=10.0, n_steps=6, tol=1e-12)
     curve = shape.interface_from_mesh(m)
     bumps = shape.gaussian_bump_basis(curve, 3)
-    fields = shape.extend_velocity(m, bumps, tol=1e-12)
+    fields = shape.extend_velocity(m, curve, bumps, tol=1e-12)
     gram = shape.gramian(fields)
     sens = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
     sensors = fim.build_sensor_models(m)
@@ -70,18 +70,16 @@ class TestPrecisionRoot:
 class TestElementaryFims:
     def test_zero_sensitivities_zero_tensor(self, problem):
         m, sensors, sens, gram, _ = problem
-        zero = fem.Trajectory(times=sens[0].times.copy(),
-                              values=np.zeros_like(sens[0].values))
-        tensor = fim.elementary_fims([zero, zero], sensors, range(7), gram[:2, :2])
+        zero = fem.Trajectory(times=sens.times, values=np.zeros_like(sens.values[:2]))
+        tensor = fim.elementary_fims(zero, sensors, range(7), gram[:2, :2])
         assert np.all(tensor.matrices == 0.0)
 
     def test_constant_restriction_analytic(self, problem):
         m, _, sens, _, _ = problem
         s = fim.build_sensor_model(m, 0, alpha0=1e-300, alpha1=1.5)
         c = 2.0
-        traj = fem.Trajectory(times=sens[0].times.copy(),
-                              values=np.full_like(sens[0].values, c))
-        tensor = fim.elementary_fims([traj], [s], [3], np.eye(1))
+        traj = fem.Trajectory(times=sens.times, values=np.full_like(sens.values[:1], c))
+        tensor = fim.elementary_fims(traj, [s], [3], np.eye(1))
         area = m.areas()[s.patch.elements].sum()
         expected = 1.5 ** 2 * c ** 2 * area
         assert abs(tensor.matrices[0, 0, 0, 0] - expected) <= 1e-10 * expected
@@ -97,11 +95,9 @@ class TestElementaryFims:
         op = s.alpha0 * k_dense + s.alpha1 * m_dense
         expected = d.T @ op @ np.linalg.solve(m_dense, op @ d)
 
-        traj = []
-        for i in range(3):
-            vals = np.zeros((2, len(m.nodes)))
-            vals[1, s.patch.nodes] = d[:, i]
-            traj.append(fem.Trajectory(times=np.array([0.0, 1.0]), values=vals))
+        vals = np.zeros((3, 2, len(m.nodes)))
+        vals[:, 1, s.patch.nodes] = d.T
+        traj = fem.Trajectory(times=np.array([0.0, 1.0]), values=vals)
         tensor = fim.elementary_fims(traj, [s], [1], np.eye(3))
         got = tensor.matrices[0, 0]
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -146,9 +142,10 @@ class TestMetamorphic:
         m, sensors, _, gram, tensor = problem
         ops = fem.assemble_heat(m)
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=6, tol=1e-12)
-        bumps = shape.gaussian_bump_basis(shape.interface_from_mesh(m), 3)
+        curve = shape.interface_from_mesh(m)
+        bumps = shape.gaussian_bump_basis(curve, 3)
         perm = [2, 0, 1]
-        fields = shape.extend_velocity(m, [bumps[i] for i in perm], tol=1e-12)
+        fields = shape.extend_velocity(m, curve, bumps[perm], tol=1e-12)
         sens = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
         gram_p = shape.gramian(fields)
         tensor_p = fim.elementary_fims(sens, sensors, range(7), gram_p)
@@ -157,6 +154,14 @@ class TestMetamorphic:
         ref = numerics.generalized_eig(fim.combine(w, tensor), gram)
         got = numerics.generalized_eig(fim.combine(w, tensor_p), gram_p)
         assert np.allclose(got.values, ref.values, rtol=1e-10, atol=0.0)
+
+    def test_permuted_sensors_permute_sensor_axis(self, problem):
+        # each sensor is whitened on its own patch: reordering the sensor
+        # models reorders the tensor's sensor axis and changes no bit
+        _, sensors, sens, gram, tensor = problem
+        perm = [1, 0]
+        got = fim.elementary_fims(sens, [sensors[i] for i in perm], range(7), gram)
+        assert np.array_equal(got.matrices, tensor.matrices[perm])
 
 
 class TestCombine:
@@ -198,7 +203,7 @@ class TestAggregateSpatial:
     def test_single_instant_identity(self, problem):
         _, sensors, sens, gram, _ = problem
         tensor = fim.elementary_fims(sens, sensors, [4], gram)
-        agg = fim.aggregate_spatial(tensor)
+        agg = fim.spatial_tensor(tensor).matrices[:, 0]
         assert np.array_equal(agg, tensor.matrices[:, 0])
 
     def test_zero_tensor(self, problem):
@@ -206,7 +211,7 @@ class TestAggregateSpatial:
         zero = fim.FimTensor(matrices=np.zeros_like(tensor.matrices),
                              gramian=tensor.gramian, instants=tensor.instants,
                              alpha0=0.01, alpha1=1.0)
-        assert np.all(fim.aggregate_spatial(zero) == 0.0)
+        assert np.all(fim.spatial_tensor(zero).matrices[:, 0] == 0.0)
 
     def test_summation_identity(self, problem):
         _, _, _, _, tensor = problem

@@ -379,3 +379,20 @@ class TestMetamorphic:
             other = oed.simplicial_decomposition(scaled, budget)
             assert np.array_equal(other.design.weights, base.design.weights)
             assert other.phi == base.phi / 4.0
+
+    @pytest.mark.parametrize("seed", range(500, 508))
+    def test_permuted_sensors_permute_weights(self, seed):
+        # the sensor order is a labelling: permuting the sensor axis of the
+        # tensor permutes the optimal weights; the optimizer's path changes,
+        # so agreement is to round-off (measured 8.3e-15 in the weights and
+        # 2.3e-16 relative in phi)
+        rng = np.random.default_rng(seed)
+        tensor = synthetic_tensor(4, 3, 3, rng)
+        perm = [2, 0, 3, 1]
+        permuted = dataclasses.replace(tensor, matrices=tensor.matrices[perm])
+        for budget in (2, 5):
+            base = oed.simplicial_decomposition(tensor, budget)
+            other = oed.simplicial_decomposition(permuted, budget)
+            expected = base.design.weights.reshape(4, 3)[perm].ravel()
+            assert np.abs(other.design.weights - expected).max() <= 1e-12
+            assert abs(other.phi - base.phi) <= 1e-12 * abs(base.phi)

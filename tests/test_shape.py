@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -26,6 +27,11 @@ def dijkstra_oracle(n, edges, source):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+def rows(fields, index):
+    """The block of the fields selected by `index` (a slice or id list)."""
+    return dataclasses.replace(fields, values=fields.values[index])
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +93,8 @@ class TestGaussianBumps:
     def test_amplitude_one_at_center(self, circle_interface_mesh):
         curve = shape.interface_from_mesh(circle_interface_mesh)
         r_c = float(curve.arc[5])
-        fields = shape.gaussian_bump_basis(curve, 2, slope=100.0, centers=[r_c])
-        assert fields[0].amplitudes[5] == 1.0
+        amplitudes = shape.gaussian_bump_basis(curve, 2, slope=100.0, centers=[r_c])
+        assert amplitudes[0, 5] == 1.0
 
     def test_slope_value(self):
         # amplitude at distance 0.1 with slope 100 is exp(-1)
@@ -106,24 +112,25 @@ class TestGaussianBumps:
 
     def test_last_field_constant(self, circle_interface_mesh):
         curve = shape.interface_from_mesh(circle_interface_mesh)
-        fields = shape.gaussian_bump_basis(curve, 9)
-        assert np.all(fields[-1].amplitudes == 1.0)
-        assert len(fields) == 9
+        amplitudes = shape.gaussian_bump_basis(curve, 9)
+        assert np.all(amplitudes[-1] == 1.0)
+        assert len(amplitudes) == 9
 
     def test_fields_parallel_to_normals(self, circle_interface_mesh):
-        curve = shape.interface_from_mesh(circle_interface_mesh)
-        fields = shape.gaussian_bump_basis(curve, 5)
-        for f in fields:
-            cross = (f.values[:, 0] * curve.normals[:, 1]
-                     - f.values[:, 1] * curve.normals[:, 0])
+        m = circle_interface_mesh
+        curve = shape.interface_from_mesh(m)
+        fields = shape.extend_velocity(m, curve, shape.gaussian_bump_basis(curve, 5))
+        for f in fields.values[:, curve.vertices]:
+            cross = (f[:, 0] * curve.normals[:, 1]
+                     - f[:, 1] * curve.normals[:, 0])
             assert np.abs(cross).max() <= 1e-10
 
     def test_equidistant_maxima(self, circle_interface_mesh):
         curve = shape.interface_from_mesh(circle_interface_mesh)
-        fields = shape.gaussian_bump_basis(curve, 9)
+        amplitudes = shape.gaussian_bump_basis(curve, 9)
         centers = [i * curve.length / 8 for i in range(8)]
-        for f, c in zip(fields[:-1], centers):
-            peak = curve.arc[np.argmax(f.amplitudes)]
+        for a, c in zip(amplitudes[:-1], centers):
+            peak = curve.arc[np.argmax(a)]
             d = min(abs(peak - c), curve.length - abs(peak - c))
             assert d <= curve.length / len(curve.vertices) + 1e-12
 
@@ -234,7 +241,7 @@ def extended_fields(circle_interface_mesh):
     m = circle_interface_mesh
     curve = shape.interface_from_mesh(m)
     bumps = shape.gaussian_bump_basis(curve, 9)
-    fields = shape.extend_velocity(m, bumps, tol=1e-12)
+    fields = shape.extend_velocity(m, curve, bumps, tol=1e-12)
     return m, curve, bumps, fields
 
 
@@ -242,31 +249,29 @@ class TestExtendVelocity:
     def test_zero_data_zero_field(self, circle_interface_mesh):
         m = circle_interface_mesh
         curve = shape.interface_from_mesh(m)
-        zero = shape.BoundaryField(curve, np.zeros(len(curve.vertices)))
-        [v] = shape.extend_velocity(m, [zero])
+        v = shape.extend_velocity(m, curve, np.zeros((1, len(curve.vertices))))
         assert np.all(v.values == 0.0)
 
     def test_boundary_data_exact(self, extended_fields):
         m, curve, bumps, fields = extended_fields
-        for b, f in zip(bumps, fields):
-            assert np.array_equal(f.values[curve.vertices], b.values)
+        for b, f in zip(bumps, fields.values):
+            assert np.array_equal(f[curve.vertices], b[:, None] * curve.normals)
             hold_nodes = np.unique(m.seg_nodes[m.seg_kind == "holdall"])
-            assert np.all(f.values[hold_nodes] == 0.0)
+            assert np.all(f[hold_nodes] == 0.0)
 
     def test_zero_outside_holdall(self, extended_fields):
         m, _, _, fields = extended_fields
         outside = np.setdiff1d(np.arange(len(m.nodes)),
                                np.unique(m.triangles[m.patches["holdall-closure"]]))
-        for f in fields:
-            assert np.all(f.values[outside] == 0.0)
+        for f in fields.values:
+            assert np.all(f[outside] == 0.0)
 
     def test_linearity(self, circle_interface_mesh):
         m = circle_interface_mesh
         curve = shape.interface_from_mesh(m)
         b = shape.gaussian_bump_basis(curve, 2)[0]
-        b3 = shape.BoundaryField(curve, 3.0 * b.amplitudes)
-        v1, v3 = shape.extend_velocity(m, [b, b3], tol=1e-13)
-        assert np.abs(v3.values - 3.0 * v1.values).max() <= 1e-10
+        v1, v3 = shape.extend_velocity(m, curve, [b, 3.0 * b], tol=1e-13).values
+        assert np.abs(v3 - 3.0 * v1).max() <= 1e-10
 
     def test_energy_optimality(self, extended_fields):
         m, curve, _, fields = extended_fields
@@ -280,7 +285,7 @@ class TestExtendVelocity:
         rng = np.random.default_rng(5)
         w = np.zeros((len(m.nodes), 2))
         w[free] = rng.standard_normal((len(free), 2))
-        v = fields[0].values.ravel()
+        v = fields.values[0].ravel()
         wf = w.ravel()
         energy = v @ (stiff @ v)
         for eps in (1e-3, -1e-3):
@@ -294,13 +299,13 @@ class TestExtendVelocity:
         m = circle_interface_mesh
         curve = shape.interface_from_mesh(m)
         b = shape.gaussian_bump_basis(curve, 3)[1]
-        [mine] = shape.extend_velocity(m, [b], tol=1e-13)
+        [mine] = shape.extend_velocity(m, curve, [b], tol=1e-13).values
 
         support = m.patches["holdall-closure"]
         stiff = _elasticity_matrix(m, support, shape.LAME_LAMBDA_DEFAULT,
                                    shape.LAME_MU_DEFAULT)
         values = np.zeros((len(m.nodes), 2))
-        values[curve.vertices] = b.values
+        values[curve.vertices] = b[:, None] * curve.normals
         fixed_nodes = np.unique(np.concatenate([curve.vertices,
                                                 _holdall_boundary_nodes(m)]))
         involved = np.unique(m.triangles[support])
@@ -311,25 +316,18 @@ class TestExtendVelocity:
         rhs = -stiff[free][:, fixed] @ flat[fixed]
         direct = spla.spsolve(stiff[free][:, free].tocsc(), rhs)
         scale = max(np.abs(direct).max(), 1e-30)
-        assert np.abs(mine.values.ravel()[free] - direct).max() <= 1e-8 * scale
+        assert np.abs(mine.ravel()[free] - direct).max() <= 1e-8 * scale
 
     def test_block_matches_fields_extended_alone(self, extended_fields):
-        m, _, bumps, fields = extended_fields
-        for b, f in zip(bumps[::4], fields[::4]):
-            [alone] = shape.extend_velocity(m, [b], tol=1e-12)
-            assert np.array_equal(f.values, alone.values)
-
-    def test_fields_on_different_curves_rejected(self, circle_interface_mesh):
-        m = circle_interface_mesh
-        b1 = shape.gaussian_bump_basis(shape.interface_from_mesh(m), 2)[0]
-        b2 = shape.gaussian_bump_basis(shape.interface_from_mesh(m), 2)[0]
-        with pytest.raises(ValueError, match="different curves"):
-            shape.extend_velocity(m, [b1, b2])
+        m, curve, bumps, fields = extended_fields
+        for b, f in zip(bumps[::4], fields.values[::4]):
+            [alone] = shape.extend_velocity(m, curve, [b], tol=1e-12).values
+            assert np.array_equal(f, alone)
 
     def test_mesh_deformation_keeps_positive_areas(self, extended_fields):
         m, _, _, fields = extended_fields
-        for f in fields[:2]:
-            moved = m.nodes + 1e-3 * f.values
+        for f in fields.values[:2]:
+            moved = m.nodes + 1e-3 * f
             p = moved[m.triangles]
             areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                            - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
@@ -339,13 +337,13 @@ class TestExtendVelocity:
 class TestGramian:
     def test_single_field_positive(self, extended_fields):
         _, _, _, fields = extended_fields
-        b = shape.gramian(fields[:1])
+        b = shape.gramian(rows(fields, slice(0, 1)))
         assert b.shape == (1, 1)
         assert b[0, 0] > 0.0
 
     def test_duplicated_field_rank_one(self, extended_fields):
         _, _, _, fields = extended_fields
-        b = shape.gramian([fields[0], fields[0]])
+        b = shape.gramian(rows(fields, [0, 0]))
         assert abs(np.linalg.det(b)) <= 1e-10 * b[0, 0] ** 2
 
     def test_nine_bumps_spd(self, extended_fields):
@@ -355,9 +353,9 @@ class TestGramian:
 
     def test_permutation_identity(self, extended_fields):
         _, _, _, fields = extended_fields
-        b = shape.gramian(fields[:4])
+        b = shape.gramian(rows(fields, slice(0, 4)))
         perm = [2, 0, 3, 1]
-        bp = shape.gramian([fields[i] for i in perm])
+        bp = shape.gramian(rows(fields, perm))
         p = np.zeros((4, 4))
         for new, old in enumerate(perm):
             p[old, new] = 1.0
@@ -367,7 +365,7 @@ class TestGramian:
         # five bumps keep the Gramian well conditioned on the circle fixture;
         # nine symmetric bumps are nearly dependent and not a fair test
         _, _, _, fields = extended_fields
-        b = shape.gramian(fields[:4] + fields[-1:])
+        b = shape.gramian(rows(fields, [0, 1, 2, 3, 8]))
         rng = np.random.default_rng(17)
         a = rng.standard_normal((5, 5))
         upsilon = a.T @ a                      # synthetic SPD information matrix
