@@ -101,9 +101,6 @@ SCHEMA = {
                 "instants": {"type": ["array", "null"],
                              "items": {"type": "integer", "minimum": 0}},
                 "tol_outer": {"type": "number", "exclusiveMinimum": 0.0},
-                "max_outer": {"type": "integer", "minimum": 1},
-                "master_tol": {"type": "number", "exclusiveMinimum": 0.0},
-                "master_max_iter": {"type": "integer", "minimum": 1},
             },
         },
         "output": {
@@ -162,9 +159,6 @@ class DesignConfig:
     optimize: bool = True
     instants: list | None = None
     tol_outer: float = oed.TOL_OUTER_DEFAULT
-    max_outer: int = oed.MAX_OUTER_DEFAULT
-    master_tol: float = oed.MASTER_TOL_DEFAULT
-    master_max_iter: int = oed.MASTER_MAX_ITER_DEFAULT
 
 
 @dataclass

@@ -132,7 +132,8 @@ class Triangulation:
         return None
 
     def triangle_ids(self):
-        return sorted(self.tri_v)
+        # ids are created ascending and dicts keep insertion order
+        return list(self.tri_v)
 
     def point_array(self):
         return np.asarray(self.points, dtype=float)
@@ -181,14 +182,14 @@ class Triangulation:
         self.points.append((float(p[0]), float(p[1])))
         return len(self.points) - 1
 
-    def insert(self, idx):
-        """Bowyer-Watson insertion of an already-appended point.
+    def insert(self, idx, seed):
+        """Bowyer-Watson insertion of an already-appended point, starting
+        from the triangle `seed` that `locate` found for it.
 
         The cavity never grows across constrained edges, so constraints
         survive refinement insertions.
         """
         p = self.points[idx]
-        seed = self.locate(p)
         if seed is None:
             raise DegenerateInput(f"point {p} outside the triangulated domain")
         cavity = {seed}
@@ -226,33 +227,30 @@ class Triangulation:
 
     # -- flips --------------------------------------------------------------
 
-    def _flip(self, u, v):
-        """Replace edge (u,v) by the opposite diagonal; returns the new edge."""
-        key = _edge_key(u, v)
-        owners = sorted(self.edge_tris.get(key, ()))
+    def _quad(self, key):
+        """(t1, t2, c, d) for an edge shared by triangles t1 < t2, where c
+        and d are their vertices off the edge; None for a hull edge."""
+        owners = self.edge_tris.get(key, ())
         if len(owners) != 2:
             return None
-        t1, t2 = owners
+        t1, t2 = sorted(owners)
         c = next(w for w in self.tri_v[t1] if w not in key)
         d = next(w for w in self.tri_v[t2] if w not in key)
+        return t1, t2, c, d
+
+    def _flip(self, key, quad):
+        """Swap edge `key` for the other diagonal of `quad`; returns it."""
+        t1, t2, c, d = quad
         self._remove(t1)
         self._remove(t2)
         self._create(c, d, key[0])
         self._create(d, c, key[1])
         return _edge_key(c, d)
 
-    def _flippable(self, u, v):
-        key = _edge_key(u, v)
-        owners = sorted(self.edge_tris.get(key, ()))
-        if len(owners) != 2:
-            return False
-        t1, t2 = owners
-        c = next(w for w in self.tri_v[t1] if w not in key)
-        d = next(w for w in self.tri_v[t2] if w not in key)
-        pc, pd = self.points[c], self.points[d]
-        pu, pv = self.points[key[0]], self.points[key[1]]
+    def _flippable(self, key, quad):
         # the quad must be strictly convex: cd must cross uv properly
-        return _segments_cross(pc, pd, pu, pv)
+        p = self.points
+        return _segments_cross(p[quad[2]], p[quad[3]], p[key[0]], p[key[1]])
 
     def legalize(self, edges):
         """Lawson flips restoring the local Delaunay property."""
@@ -261,21 +259,19 @@ class Triangulation:
         while queue and budget > 0:
             budget -= 1
             key = queue.popleft()
-            if key in self.constrained or key not in self.edge_tris:
+            if key in self.constrained:
                 continue
-            owners = sorted(self.edge_tris[key])
-            if len(owners) != 2:
+            quad = self._quad(key)
+            if quad is None:
                 continue
-            t1, t2 = owners
-            c = next(w for w in self.tri_v[t1] if w not in key)
-            d = next(w for w in self.tri_v[t2] if w not in key)
+            t1, _, c, d = quad
             if _in_circumcircle(*(self.points[w] for w in self.tri_v[t1]),
                                 self.points[d]) <= 1e-13:
                 continue
-            if not self._flippable(*key):
+            if not self._flippable(key, quad):
                 continue
+            self._flip(key, quad)
             u, v = key
-            self._flip(u, v)
             # only the outer edges of the flipped quad can turn illegal
             queue.extend(_edge_key(x, y) for x, y in ((u, c), (c, v), (v, d), (d, u)))
 
@@ -307,7 +303,7 @@ def bowyer_watson(points):
     tr._create(s0, s1, s2)
     for p in merged:
         idx = tr.add_point(p)
-        tr.insert(idx)
+        tr.insert(idx, tr.locate(tr.points[idx]))
 
     has_interior = any(
         all(v not in tr._super for v in verts) for verts in tr.tri_v.values()
@@ -431,13 +427,13 @@ def _enforce_segment(tr, u, v):
         if key in tr.constrained:
             raise ConstraintCrossing(
                 f"segment ({u}, {v}) crosses constrained edge {key}")
-        if not tr._flippable(*key):
+        quad = tr._quad(key)
+        if quad is None or not tr._flippable(key, quad):
             crossing.append(key)
             continue
-        new_key = tr._flip(*key)
+        new_key = tr._flip(key, quad)
         touched.append(new_key)
-        if new_key is not None and _segments_cross(
-                tr.points[new_key[0]], tr.points[new_key[1]], pu, pv):
+        if _segments_cross(tr.points[new_key[0]], tr.points[new_key[1]], pu, pv):
             crossing.append(new_key)
     if not tr.has_edge(u, v):
         raise ConstraintCrossing(f"failed to recover segment ({u}, {v})")
@@ -530,7 +526,9 @@ def refine(tr, theta_min=20.0, h=None, node_cap=200000):
 
     Boundary edges (used by a single triangle) are treated as constrained.
     A triangle is split when its minimum angle falls below `theta_min`
-    degrees or, when `h` is given, its longest edge exceeds `h`. Raises
+    degrees or, when `h` is given, its longest edge exceeds `h`. A pass
+    queues the bad, unstalled triangles in id order, then those its splits
+    create; passes repeat while they progress. Raises
     RefinementBudgetExceeded when the node cap is hit first.
     """
     if theta_min > 25.0:
@@ -552,8 +550,10 @@ def refine(tr, theta_min=20.0, h=None, node_cap=200000):
 
     stalled = set()
     seg_cache = _SegmentCache(tr)
-    while True:
-        work.extend(tid for tid in tr.triangle_ids() if tid not in stalled)
+    progressed = True
+    while progressed:
+        work.extend(tid for tid in tr.triangle_ids()
+                    if tid not in stalled and is_bad(tid))
         progressed = False
         while work:
             tid = work.popleft()
@@ -569,16 +569,13 @@ def refine(tr, theta_min=20.0, h=None, node_cap=200000):
                 work.append(tid)
                 progressed = True
                 continue
-            if tr.locate(center) is None or _too_close(tr, center, tid):
+            seed = tr.locate(center)
+            if seed is None or _too_close(tr, center, tid):
                 stalled.add(tid)
                 continue
             m = tr.add_point(center)
-            work.extend(tr.insert(m))
+            work.extend(tr.insert(m, seed))
             progressed = True
-        remaining = [tid for tid in tr.triangle_ids()
-                     if tid not in stalled and is_bad(tid)]
-        if not remaining or not progressed:
-            break
     return tr
 
 

@@ -1,14 +1,16 @@
 """Dense and sparse linear-algebra kernels shared by all solver stages.
 
-Dense symmetric matrices are plain ``numpy`` arrays (only the symmetric part
-is authoritative); sparse matrices are ``scipy.sparse`` CSR. The dense
-Cholesky factorization and triangular solves call LAPACK ``potrf`` and
-``trtrs`` directly (bitwise the results of ``scipy.linalg.cholesky`` and
-``solve_triangular``, without their per-call checks), one call site each; the
-symmetric pencil solver is ``scipy.linalg.eigh``. The sparse solver is a
-Jacobi-preconditioned CG over a block of right-hand sides that share one
-matrix: the rows iterate in lockstep and share one sparse product per
-iteration, and each row is bitwise ``scipy.sparse.linalg.cg`` on that row.
+Dense symmetric matrices are plain ``numpy`` arrays; sparse matrices are
+``scipy.sparse`` CSR. The dense Cholesky factorization and triangular solves
+call LAPACK ``potrf`` and ``trtrs`` directly (bitwise the results of
+``scipy.linalg.cholesky`` and ``solve_triangular``, without their per-call
+checks), one call site each; the factorization reads only the lower triangle
+of its matrix. The symmetric pencil solver is ``scipy.linalg.eigh``, behind
+a check that both matrices are square and symmetric within round-off. The
+sparse solver is a Jacobi-preconditioned CG over a block of right-hand sides
+that share one matrix: the rows iterate in lockstep and share one sparse
+product per iteration, and each row is bitwise ``scipy.sparse.linalg.cg`` on
+that row.
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ def symmetric_part(a, rtol=1e-12):
 def cholesky(a):
     """Lower-triangular L with L @ L.T == A (LAPACK potrf).
 
-    Raises NotPositiveDefinite when an elimination pivot falls to or below
-    PIVOT_RTOL times the largest diagonal entry of A; rank-deficient PSD
-    matrices are rejected by that floor even when the factorization itself
-    squeaks through. The factor is Fortran-ordered, as `solve_lower` and
-    `cholesky_solve` expect.
+    Reads only the lower triangle of the square float array A, so the
+    strict upper triangle is never checked. Raises NotPositiveDefinite when
+    an elimination pivot falls to or below PIVOT_RTOL times the largest
+    diagonal entry of A; rank-deficient PSD matrices are rejected by that
+    floor even when the factorization itself squeaks through. The factor is
+    Fortran-ordered, as `solve_lower` and `cholesky_solve` expect.
     """
-    a = symmetric_part(a)
     floor = PIVOT_RTOL * max(float(a.diagonal().max()), 0.0)
     lower, info = _potrf(a, lower=1, clean=1)
     if info > 0:

@@ -277,10 +277,7 @@ def evaluate_design(design: Design, tensor: FimTensor) -> OEDResult:
 
 
 def simplicial_decomposition(tensor: FimTensor, budget,
-                             tol_outer=TOL_OUTER_DEFAULT,
-                             max_outer=MAX_OUTER_DEFAULT,
-                             master_tol=MASTER_TOL_DEFAULT,
-                             master_max_iter=MASTER_MAX_ITER_DEFAULT) -> OEDResult:
+                             tol_outer=TOL_OUTER_DEFAULT) -> OEDResult:
     """Solve the relaxed design problem by simplicial decomposition.
 
     Raises Infeasible when no feasible design yields an SPD information
@@ -295,7 +292,7 @@ def simplicial_decomposition(tensor: FimTensor, budget,
     problem = ReducedProblem(tensor)
     # the index-level certificate cannot be tighter than the master's
     # slope-equilibration band
-    master_tol = min(master_tol, 0.1 * tol_outer)
+    master_tol = min(MASTER_TOL_DEFAULT, 0.1 * tol_outer)
     w = np.full(n_idx, c / n_idx)
     phi = problem.phi(w)
     if not math.isfinite(phi):
@@ -311,7 +308,7 @@ def simplicial_decomposition(tensor: FimTensor, budget,
     converged = False
     n_outer = 0
 
-    for n_outer in range(1, max_outer + 1):
+    for n_outer in range(1, MAX_OUTER_DEFAULT + 1):
         grad = problem.gradient(w)
         vertex = vertex_oracle(grad, c)
 
@@ -335,7 +332,7 @@ def simplicial_decomposition(tensor: FimTensor, budget,
             gamma = np.concatenate([(1.0 - delta) * gamma, [delta]])
 
         gamma, master_done = torsney_master(np.stack(gen_mats), gamma,
-                                            master_tol, master_max_iter)
+                                            master_tol, MASTER_MAX_ITER_DEFAULT)
 
         # drop generators whose barycentric weight has vanished
         keep = gamma > PRUNE_TOL
@@ -361,7 +358,7 @@ def simplicial_decomposition(tensor: FimTensor, budget,
         if not is_new and master_done:
             break
     else:
-        raise MaxIterations(f"no certificate after {max_outer} outer iterations")
+        raise MaxIterations(f"no certificate after {MAX_OUTER_DEFAULT} outer iterations")
 
     # the eigen-analysis sees the unclipped weights
     return _result(problem, design, w, phi_history, dw_history, converged,

@@ -150,18 +150,14 @@ class Pipeline:
             tensor = self.tensor()
             if cfg.mode == "spatial":
                 if cfg.optimize:
-                    return oed.solve_spatial(
-                        tensor, cfg.budget, tol_outer=cfg.tol_outer,
-                        max_outer=cfg.max_outer, master_tol=cfg.master_tol,
-                        master_max_iter=cfg.master_max_iter)
+                    return oed.solve_spatial(tensor, cfg.budget,
+                                             tol_outer=cfg.tol_outer)
                 spatial = fim.spatial_tensor(tensor)
                 return oed.evaluate_design(oed.uniform_design(spatial, cfg.budget),
                                            spatial)
             if cfg.optimize:
-                return oed.simplicial_decomposition(
-                    tensor, cfg.budget, tol_outer=cfg.tol_outer,
-                    max_outer=cfg.max_outer, master_tol=cfg.master_tol,
-                    master_max_iter=cfg.master_max_iter)
+                return oed.simplicial_decomposition(tensor, cfg.budget,
+                                                    tol_outer=cfg.tol_outer)
             return oed.evaluate_design(oed.uniform_design(tensor, cfg.budget), tensor)
         return self._stage("optimize", build)
 

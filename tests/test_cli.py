@@ -283,6 +283,13 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert "$.physics.n_steps" in capsys.readouterr().err
 
+    def test_unknown_design_field_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"design": {"master_max_iter": 10}})
+        code = cli.main(["generate-mesh", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "$.design" in capsys.readouterr().err
+
     def test_robin_span_on_dirichlet_side_exit_code(self, tmp_path, capsys):
         span = {"side": "bottom", "lo": 0.0, "hi": 0.5, "beta": 10.0}
         for side in ("bottom", "all"):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -48,6 +49,18 @@ def edge_use_counts(triangles):
             key = (u, v) if u < v else (v, u)
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def mesh_digest(m):
+    """sha256 over the bytes of every mesh array and of the named patches."""
+    h = hashlib.sha256()
+    for a in (m.nodes, m.triangles, m.regions,
+              m.seg_nodes, m.seg_kind, m.seg_ref, m.seg_beta):
+        h.update(np.ascontiguousarray(a).tobytes())
+    for name in sorted(m.patches):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(m.patches[name]).tobytes())
+    return h.hexdigest()
 
 
 def shoelace(poly):
@@ -127,6 +140,25 @@ class TestConstraints:
         tr = delaunay(pts)
         with pytest.raises(ConstraintCrossing):
             mesh.recover_constraints(tr, [(0, 2), (1, 3)])
+
+    def test_triangle_ids_ascend_after_inserts_flips_and_splits(self):
+        rng = np.random.default_rng(7)
+        pts = np.vstack([[(0.05, 0.5), (0.95, 0.52)], rng.random((40, 2))])
+        tr = mesh.bowyer_watson(pts)
+        u, v = tr.input_index[0], tr.input_index[1]
+        assert not tr.has_edge(u, v)
+        mesh.recover_constraints(tr, [(0, 1)])          # flips
+        assert tr.triangle_ids() == sorted(tr.tri_v)
+        mesh.strip_super(tr)
+        mesh.refine(tr, theta_min=20.0, h=0.2)          # inserts and splits
+        assert not tr.has_edge(u, v)
+        assert tr.triangle_ids() == sorted(tr.tri_v)
+        for p in rng.random((10, 2)) * 0.8 + 0.1:
+            idx = tr.add_point(p)
+            tr.insert(idx, tr.locate(tr.points[idx]))
+            ids = tr.triangle_ids()
+            assert ids == sorted(tr.tri_v)
+            assert len(set(ids)) == len(ids)
 
 
 class TestRefine:
@@ -372,6 +404,18 @@ class TestMeshStress:
         assert np.array_equal(m1.nodes, m2.nodes)
         assert np.array_equal(m1.triangles, m2.triangles)
         assert np.array_equal(m1.seg_nodes, m2.seg_nodes)
+
+    @pytest.mark.parametrize("h, n_nodes, digest", [
+        (0.04, 1665, "f2070d94cdc72298a6b4abb7c8189573521d06d69ae720e6e71cf6d6331094c1"),
+        (0.09, 464, "9c15d1aefc98c935240e38072d5071d015f437bfaa539955841a1dda6ad99f6a"),
+    ])
+    def test_default_geometry_mesh_bytes_pinned(self, h, n_nodes, digest):
+        # any change of the mesher that moves a byte of the mesh (node
+        # order, a coordinate, a tag) changes every downstream result
+        spec = mesh.GeometrySpec(spline_control=mesh.DEFAULT_INCLUSION_CONTROL, h=h)
+        m = mesh.build_mesh(spec)
+        assert len(m.nodes) == n_nodes
+        assert mesh_digest(m) == digest
 
     def test_node_cap_enforced(self):
         from diffdesign.errors import RefinementBudgetExceeded

@@ -67,6 +67,16 @@ class TestLapackBits:
         assert np.array_equal(numerics.solve_lower(lower, b), forward)
         assert np.array_equal(numerics.cholesky_solve(lower, b), backward)
 
+    @pytest.mark.parametrize("n", [2, 9, 30])
+    def test_cholesky_reads_only_the_lower_triangle(self, n):
+        rng = np.random.default_rng(40 + n)
+        a = random_spd(n, rng)
+        lower = np.tril(a)
+        completion = lower + np.tril(a, -1).T
+        garbage = lower + np.triu(rng.standard_normal((n, n)) * 1e3, 1)
+        assert np.array_equal(numerics.cholesky(garbage),
+                              numerics.cholesky(completion))
+
     def test_indefinite_fails_in_the_factorization(self):
         with pytest.raises(NotPositiveDefinite, match="2-th leading minor"):
             numerics.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
