@@ -57,7 +57,6 @@ SCHEMA = {
                     },
                 },
                 "h": {"type": "number", "exclusiveMinimum": 0.0},
-                "theta_min": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 25.0},
                 "node_cap": {"type": "integer", "minimum": 100},
             },
         },
@@ -67,7 +66,6 @@ SCHEMA = {
             "properties": {
                 "kappa_bulk": {"type": "number", "exclusiveMinimum": 0.0},
                 "kappa_inc": {"type": "number", "exclusiveMinimum": 0.0},
-                "u_dirichlet": {"type": "number"},
                 "horizon": {"type": "number", "exclusiveMinimum": 0.0},
                 "n_steps": {"type": "integer", "minimum": 1},
             },
@@ -132,7 +130,6 @@ _VALIDATOR = jsonschema.validators.extend(
 class PhysicsConfig:
     kappa_bulk: float = fem.KAPPA_BULK_DEFAULT
     kappa_inc: float = fem.KAPPA_INC_DEFAULT
-    u_dirichlet: float = fem.U_DIRICHLET_DEFAULT
     horizon: float = fem.T_DEFAULT
     n_steps: int = fem.N_STEPS_DEFAULT
 
@@ -196,7 +193,6 @@ def _geometry_from_dict(raw):
                                   hi=float(r["hi"]), beta=float(r["beta"]))
                         for r in raw.get("robin_spans", [])]
     spec.h = float(raw.get("h", spec.h))
-    spec.theta_min = float(raw.get("theta_min", spec.theta_min))
     spec.node_cap = int(raw.get("node_cap", spec.node_cap))
     return spec
 
@@ -268,7 +264,6 @@ def canonical_dict(cfg: Config):
             "dirichlet_side": geo.dirichlet_side,
             "robin_spans": [[r.side, r.lo, r.hi, r.beta] for r in geo.robin_spans],
             "h": geo.h,
-            "theta_min": geo.theta_min,
         },
         "physics": vars(cfg.physics).copy(),
         "basis": vars(cfg.basis).copy(),

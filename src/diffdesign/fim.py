@@ -9,12 +9,16 @@ the whitened sensitivity restrictions: the sensitivity block is restricted to
 the patch and whitened for all basis fields at once, with one sparse product
 per (sensor, instant) pair. The combined matrix is the weighted sum of the
 elementary matrices in a fixed (sensor, instant) row-major enumeration.
+
+The tensor cache is a numpy ``.npz`` archive keyed by the tensor hash of the
+config. A file that is not a complete, intact cache written by this
+TENSOR_VERSION for that key raises CacheMismatch, so the caller rebuilds.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +77,6 @@ class FimTensor:
 
     matrices: np.ndarray         # (n_obs, n_time, n_basis, n_basis)
     gramian: np.ndarray          # shape-metric Gramian of the basis
-    instants: np.ndarray         # trajectory step index per instant
-    alpha0: float
-    alpha1: float
 
     @property
     def n_obs(self):
@@ -120,9 +121,7 @@ def elementary_fims(sensitivities, sensors, instants, gramian) -> FimTensor:
             whitened = apply_precision_root(sensor, local) * sqrt_mass
             upper = np.triu(whitened.T @ whitened)
             mats[k, li] = upper + np.triu(upper, 1).T
-    return FimTensor(matrices=mats, gramian=np.asarray(gramian, dtype=float),
-                     instants=instants, alpha0=sensors[0].alpha0 if sensors else ALPHA0_DEFAULT,
-                     alpha1=sensors[0].alpha1 if sensors else ALPHA1_DEFAULT)
+    return FimTensor(matrices=mats, gramian=np.asarray(gramian, dtype=float))
 
 
 def weighted_sum(weights, mats):
@@ -149,42 +148,32 @@ def spatial_tensor(tensor: FimTensor) -> FimTensor:
     """Tensor of the spatial-only problem: each sensor's information summed
     over all instants, as one synthetic instant."""
     mats = tensor.matrices.sum(axis=1)[:, None, :, :]
-    return FimTensor(matrices=mats, gramian=tensor.gramian,
-                     instants=np.array([-1]), alpha0=tensor.alpha0,
-                     alpha1=tensor.alpha1)
+    return FimTensor(matrices=mats, gramian=tensor.gramian)
 
 
 # -- tensor cache -------------------------------------------------------------
 
-_MAGIC = "fim-tensor"
 #: version of the cached tensor: raise it whenever a code change alters the
 #: bytes of a tensor built from the same config (or the file layout), so the
 #: cache never serves a tensor built by other code
-TENSOR_VERSION = 1
+TENSOR_VERSION = 2
 
 
 def save_tensor(tensor: FimTensor, path, config_hash=""):
-    """Write the tensor cache: one JSON header line + float64 LE payload.
+    """Write the tensor cache as an uncompressed ``.npz`` archive holding
+    ``matrices``, ``gramian``, the config ``key`` and the cache ``version``.
 
     The bytes go to a process-private temporary file in the same directory,
     which then replaces `path` in one step; readers see the old file or the
-    complete new one, never a partial write.
+    complete new one, never a partial write. Members carry a fixed date, so
+    equal tensors give equal files.
     """
-    header = {
-        "format": _MAGIC,
-        "version": TENSOR_VERSION,
-        "dims": [tensor.n_obs, tensor.n_time, tensor.n_basis],
-        "alpha0": tensor.alpha0,
-        "alpha1": tensor.alpha1,
-        "instants": [int(i) for i in tensor.instants],
-        "config_hash": config_hash,
-    }
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-            fh.write(np.ascontiguousarray(tensor.matrices, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(tensor.gramian, dtype="<f8").tobytes())
+            np.savez(fh, matrices=np.ascontiguousarray(tensor.matrices, dtype="<f8"),
+                     gramian=np.ascontiguousarray(tensor.gramian, dtype="<f8"),
+                     key=np.array(config_hash), version=np.array(TENSOR_VERSION))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -194,27 +183,20 @@ def save_tensor(tensor: FimTensor, path, config_hash=""):
 
 def load_tensor(path, expect_hash=None) -> FimTensor:
     """Read a tensor cache; raises CacheMismatch when the file is not a
-    complete tensor cache of TENSOR_VERSION or its stored hash differs from
-    `expect_hash`."""
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("ascii"))
-        except ValueError:
-            header = {}
-        if not isinstance(header, dict) or header.get("format") != _MAGIC:
-            raise CacheMismatch(f"{path} is not a FIM tensor cache")
-        if header.get("version") != TENSOR_VERSION:
-            raise CacheMismatch(f"tensor cache version {header.get('version')!r} "
-                                f"is not {TENSOR_VERSION}")
-        if expect_hash is not None and header["config_hash"] != expect_hash:
-            raise CacheMismatch("tensor cache was built from a different config")
-        n_obs, n_time, n_basis = header["dims"]
-        count = n_obs * n_time * n_basis * n_basis
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-        if len(payload) != count + n_basis * n_basis:
-            raise CacheMismatch("tensor cache payload is truncated")
-        mats = payload[:count].reshape(n_obs, n_time, n_basis, n_basis).copy()
-        gram = payload[count:].reshape(n_basis, n_basis).copy()
-    return FimTensor(matrices=mats, gramian=gram,
-                     instants=np.asarray(header["instants"], dtype=int),
-                     alpha0=float(header["alpha0"]), alpha1=float(header["alpha1"]))
+    complete, intact tensor cache of TENSOR_VERSION (each member's CRC-32 is
+    checked on read), its stored key differs from `expect_hash`, or its
+    arrays do not form a tensor."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            mats, gram = npz["matrices"], npz["gramian"]
+            key, version = str(npz["key"]), int(npz["version"])
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as err:
+        raise CacheMismatch(f"{path} is not a FIM tensor cache ({err})") from err
+    if version != TENSOR_VERSION:
+        raise CacheMismatch(f"tensor cache version {version} is not {TENSOR_VERSION}")
+    if expect_hash is not None and key != expect_hash:
+        raise CacheMismatch("tensor cache was built from a different config")
+    if mats.ndim != 4 or mats.shape[2:] != gram.shape:
+        raise CacheMismatch(f"tensor cache shapes {mats.shape} and {gram.shape} disagree")
+    return FimTensor(matrices=mats, gramian=gram)

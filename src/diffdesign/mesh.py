@@ -696,7 +696,6 @@ class GeometrySpec:
     dirichlet_side: str = "top"
     robin_spans: list = field(default_factory=list)
     h: float = 0.04
-    theta_min: float = 20.0
     node_cap: int = 200000
 
     def polygon(self):
@@ -723,6 +722,13 @@ class GeometrySpec:
             if not (np.all(poly[:, 0] > x0 + margin) and np.all(poly[:, 0] < x1 - margin)
                     and np.all(poly[:, 1] > y0 + margin) and np.all(poly[:, 1] < y1 - margin)):
                 raise ValueError("inclusion must be strictly inside the hold-all")
+            n = len(poly)
+            try:
+                _validate_no_crossings(poly, [(i, (i + 1) % n) for i in range(n)])
+            except ConstraintCrossing:
+                raise ValueError("inclusion polygon has crossing edges") from None
+            if _polygon_area(poly) == 0.0:
+                raise ValueError("inclusion polygon has zero area")
         for i, box in enumerate(self.sensors):
             bx0, by0, bx1, by1 = box
             if not (0.0 <= bx0 < bx1 <= 1.0 and 0.0 <= by0 < by1 <= 1.0):
@@ -905,7 +911,7 @@ def build_mesh(spec: GeometrySpec) -> Mesh:
     tr = bowyer_watson(np.asarray(all_points))
     recover_constraints(tr, all_segments)
     strip_super(tr)
-    refine(tr, theta_min=spec.theta_min, h=h, node_cap=spec.node_cap)
+    refine(tr, h=h, node_cap=spec.node_cap)
     return _tag_mesh(tr, spec, poly)
 
 

@@ -81,8 +81,7 @@ class Pipeline:
     def heat_operators(self):
         phys = self.config.physics
         return self._stage("assemble", lambda: fem.assemble_heat(
-            self.mesh(), kappa_bulk=phys.kappa_bulk, kappa_inc=phys.kappa_inc,
-            u_d=phys.u_dirichlet))
+            self.mesh(), kappa_bulk=phys.kappa_bulk, kappa_inc=phys.kappa_inc))
 
     def forward(self):
         phys = self.config.physics
@@ -294,8 +293,16 @@ def compare_cases(configs, out_dir, cache_dir=None, log=True):
 
     Cases must share the basis dimension; uniform-weight cases evaluate the
     criterion at equal weights of total budget mass without optimizing.
-    Returns the table rows and writes compare.csv.
+    Each case writes to the subdirectory named by its label, so labels must
+    be distinct single path components. Returns the table rows and writes
+    compare.csv.
     """
+    names = [cfg.case for cfg in configs]
+    for name in names:
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError(f"$.case: {name!r} is not a single path component")
+        if names.count(name) > 1:
+            raise ConfigError(f"$.case: {names.count(name)} cases are named {name!r}")
     if len({cfg.basis.n_basis for cfg in configs}) > 1:
         dims = ", ".join(f"{cfg.case} has {cfg.basis.n_basis}" for cfg in configs)
         raise ConfigError(f"$.basis.n_basis: cases disagree on the basis dimension ({dims})")

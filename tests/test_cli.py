@@ -3,11 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diffdesign import cli, config, fim, pipeline
+from diffdesign import cli, config, fem, fim, pipeline
 from diffdesign.errors import ConfigError
 
-from test_fim import set_cache_version
+from test_fim import CORRUPTIONS, corrupt, set_cache_version
 
 # small, fast problem: coarse mesh, 2 sensors, few steps, tiny basis
 FAST_CONFIG = {
@@ -41,6 +42,56 @@ def write_config(tmp_path, payload=None, **overrides):
     return path
 
 
+# config fuzzing. In half of the draws every value has its schema type:
+# numbers in (0, 1], integers from one below the schema minimum, lists mostly
+# of valid length and sometimes one item short or long, so most draws pass the
+# schema and reach the checks after it. In the other half any value may be a
+# leaf of another type (negative, huge and non-finite numbers included) and
+# any object may carry an unknown key. Integers stay small, so no draw asks
+# for a huge time grid or spline sampling
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 60), st.floats(),
+                    st.text(max_size=3))
+
+
+def _typed(spec, junk):
+    """Values of the schema node's own type, or None for an untyped node."""
+    kind = spec.get("type")
+    if "enum" in spec:
+        return st.sampled_from(spec["enum"])
+    if "properties" in spec:
+        children = {k: _values(v, junk) for k, v in spec["properties"].items()}
+        if junk:
+            children["unknown"] = _LEAVES
+        return st.fixed_dictionaries({}, optional=children)
+    if "items" in spec:
+        item = _values(spec["items"], junk)
+        lo = spec.get("minItems", 0)
+        hi = spec.get("maxItems", lo + 5)
+        exact = st.lists(item, min_size=lo, max_size=hi)
+        return st.one_of(exact, exact, exact, st.lists(item, min_size=max(lo - 1, 0),
+                                                       max_size=hi + 1))
+    if kind == "number":
+        return st.floats(0.0, 1.0, exclude_min=True)
+    if kind == "integer":
+        lo = spec.get("minimum", 0)
+        return st.integers(lo - 1, lo + 150)
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "string":
+        return st.text(max_size=4)
+    return None
+
+
+def _values(spec, junk):
+    own = _typed(spec, junk)
+    if own is None:
+        return _LEAVES
+    return st.one_of(*[own] * 7, _LEAVES) if junk else own
+
+
+_CONFIG_DICTS = _typed(config.SCHEMA, False) | _typed(config.SCHEMA, True)
+
+
 class TestConfig:
     def test_defaults_paper_shaped(self):
         cfg = config.load_config({})
@@ -48,7 +99,7 @@ class TestConfig:
         assert cfg.physics.horizon == 10.0
         assert cfg.physics.kappa_inc == 1e-3
         assert cfg.physics.kappa_bulk == 0.1
-        assert cfg.physics.u_dirichlet == 1.0
+        assert fem.U_DIRICHLET_DEFAULT == 1.0
         assert cfg.basis.n_basis == 9
         assert cfg.basis.slope == 100.0
         assert cfg.basis.lame_lambda == 0.01
@@ -89,6 +140,16 @@ class TestConfig:
         import pathlib
         doc = pathlib.Path(__file__).resolve().parents[1] / "docs" / "config.schema.json"
         assert json.loads(doc.read_text()) == config.SCHEMA
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_CONFIG_DICTS)
+    def test_fuzzed_config_loads_or_raises_config_error(self, raw):
+        # a dict that is not a valid config fails with the JSON path of the
+        # bad field, never with another exception
+        try:
+            assert isinstance(config.load_config(raw), config.Config)
+        except ConfigError as err:
+            assert str(err).startswith("$")
 
     def test_paper_cases(self):
         cases = config.comparison_case_dicts()
@@ -154,6 +215,21 @@ class TestPipeline:
         assert "fim: cache rejected (tensor cache version" in capsys.readouterr().err
         assert fim.load_tensor(stale).matrices.shape == pipe.tensor().matrices.shape
 
+    @pytest.mark.parametrize("how", CORRUPTIONS)
+    def test_damaged_cache_rebuilt_and_logged(self, fast_run, tmp_path, capsys, how):
+        out, cfg, _ = fast_run
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (stored,) = (out / "cache").glob("fim-*.tensor")
+        damaged = cache / stored.name
+        damaged.write_bytes(corrupt(stored.read_bytes(), how))
+        pipe = pipeline.Pipeline(cfg, tmp_path / "out", cache_dir=cache)
+        tensor = pipe.tensor()
+        assert pipe.report.fim_cache == "miss"
+        assert "fim: cache rejected" in capsys.readouterr().err
+        assert damaged.read_bytes() == stored.read_bytes()
+        assert np.array_equal(tensor.matrices, fim.load_tensor(stored).matrices)
+
     def test_deterministic_outputs(self, fast_run, tmp_path):
         out, cfg, _ = fast_run
         other = tmp_path / "second"
@@ -213,6 +289,20 @@ class TestCompare:
         b = config.load_config({**FAST_CONFIG, "basis": {"n_basis": 3}})
         with pytest.raises(ConfigError):
             pipeline.compare_cases([a, b], tmp_path, log=False)
+
+    def test_shared_or_path_like_case_names_rejected(self, tmp_path):
+        # each case writes to out_dir / case: a shared name would let the
+        # second case overwrite the first, a path-like one escape out_dir
+        uniform = json.loads(json.dumps(FAST_CONFIG))
+        uniform["design"]["optimize"] = False
+        cases = [config.load_config(FAST_CONFIG), config.load_config(uniform)]
+        with pytest.raises(ConfigError, match=r"\$\.case: 2 cases are named 'fast'"):
+            pipeline.compare_cases(cases, tmp_path, log=False)
+        for name in ("", ".", "..", "a/b", "a\\b"):
+            with pytest.raises(ConfigError, match=r"\$\.case: .* single path component"):
+                pipeline.compare_cases([config.load_config({**FAST_CONFIG, "case": name})],
+                                       tmp_path, log=False)
+        assert list(tmp_path.iterdir()) == []
 
     def test_identical_configs_identical_rows(self, tmp_path):
         a = json.loads(json.dumps(FAST_CONFIG))
@@ -333,6 +423,24 @@ class TestCli:
         code = cli.main(["compare", str(a), str(b), "--out", str(tmp_path / "cmp")])
         assert code == 0
         assert (tmp_path / "cmp" / "compare.csv").exists()
+
+    def test_compare_same_config_twice_exit_code(self, tmp_path, capsys):
+        a = write_config(tmp_path)
+        code = cli.main(["compare", str(a), str(a), "--out", str(tmp_path / "cmp")])
+        assert code == cli.EXIT_CONFIG
+        assert "$.case: 2 cases are named 'fast'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("poly, reason", [
+        ([[0.45, 0.45], [0.55, 0.55], [0.55, 0.45], [0.45, 0.55]], "crossing edges"),
+        ([[0.5, 0.5], [0.55, 0.5], [0.6, 0.5]], "zero area"),
+    ], ids=["bowtie", "collinear"])
+    def test_invalid_inclusion_polygon_exit_code(self, tmp_path, capsys, poly, reason):
+        cfg_path = write_config(tmp_path, **{"geometry.inclusion_polygon": poly})
+        code = cli.main(["generate-mesh", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert f"$.geometry: inclusion polygon has {reason}" in capsys.readouterr().err
 
     def test_compare_dimension_mismatch_exit_code(self, tmp_path, capsys):
         a = write_config(tmp_path, case="four")

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -31,11 +32,31 @@ def problem():
 
 
 def set_cache_version(path, version):
-    """Rewrite the version field in the header of a tensor cache file."""
-    head, payload = path.read_bytes().split(b"\n", 1)
-    header = json.loads(head)
-    header["version"] = version
-    path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
+    """Rewrite the version member of a tensor cache file."""
+    with np.load(path) as npz:
+        members = dict(npz)
+    members["version"] = np.array(version)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+#: byte-level damage a tensor cache file can suffer
+CORRUPTIONS = ("truncated", "half", "empty", "flipped")
+
+
+def corrupt(raw, how):
+    """Bytes of the tensor cache file `raw` after damage `how`."""
+    if how == "truncated":
+        return raw[:-3]
+    if how == "half":
+        return raw[:len(raw) // 2]
+    if how == "empty":
+        return b""
+    # one bit flipped in the middle of the matrices payload
+    with np.load(io.BytesIO(raw)) as npz:
+        payload = npz["matrices"].tobytes()
+    pos = raw.index(payload) + len(payload) // 2
+    return raw[:pos] + bytes([raw[pos] ^ 1]) + raw[pos + 1:]
 
 
 class TestPrecisionRoot:
@@ -209,8 +230,7 @@ class TestAggregateSpatial:
     def test_zero_tensor(self, problem):
         _, _, _, _, tensor = problem
         zero = fim.FimTensor(matrices=np.zeros_like(tensor.matrices),
-                             gramian=tensor.gramian, instants=tensor.instants,
-                             alpha0=0.01, alpha1=1.0)
+                             gramian=tensor.gramian)
         assert np.all(fim.spatial_tensor(zero).matrices[:, 0] == 0.0)
 
     def test_summation_identity(self, problem):
@@ -232,7 +252,6 @@ class TestTensorCache:
         loaded = fim.load_tensor(path, expect_hash="abc123")
         assert np.array_equal(loaded.matrices, tensor.matrices)
         assert np.array_equal(loaded.gramian, tensor.gramian)
-        assert np.array_equal(loaded.instants, tensor.instants)
 
     def test_hash_mismatch(self, problem, tmp_path):
         _, _, _, _, tensor = problem
@@ -245,17 +264,61 @@ class TestTensorCache:
         _, _, _, _, tensor = problem
         path = tmp_path / "tensor.fim"
         fim.save_tensor(tensor, path, config_hash="abc123")
-        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["version"] \
-            == fim.TENSOR_VERSION
+        with np.load(path) as npz:
+            assert npz["version"] == fim.TENSOR_VERSION == 2
         set_cache_version(path, fim.TENSOR_VERSION + 1)
         with pytest.raises(CacheMismatch, match="version"):
             fim.load_tensor(path, expect_hash="abc123")
 
     def test_unreadable_header_rejected(self, tmp_path):
         path = tmp_path / "tensor.fim"
-        for junk in (b"", b"\xff\xfe\n", b"[1, 2]\n", b"not json\n"):
+        npy = io.BytesIO()
+        np.save(npy, np.eye(3))             # a bare array, not an archive
+        for junk in (b"", b"\xff\xfe\n", b"[1, 2]\n", b"not json\n", npy.getvalue()):
             path.write_bytes(junk)
             with pytest.raises(CacheMismatch, match="not a FIM tensor cache"):
+                fim.load_tensor(path, expect_hash="abc123")
+
+    @pytest.mark.parametrize("how", CORRUPTIONS)
+    def test_damaged_file_rejected(self, problem, tmp_path, how):
+        # the zip members carry CRC-32s, so even a flipped payload bit that
+        # keeps every length intact is caught on read
+        _, _, _, _, tensor = problem
+        path = tmp_path / "tensor.fim"
+        fim.save_tensor(tensor, path, config_hash="abc123")
+        path.write_bytes(corrupt(path.read_bytes(), how))
+        with pytest.raises(CacheMismatch, match="not a FIM tensor cache"):
+            fim.load_tensor(path, expect_hash="abc123")
+
+    def test_missing_member_rejected(self, problem, tmp_path):
+        _, _, _, _, tensor = problem
+        path = tmp_path / "tensor.fim"
+        with open(path, "wb") as fh:
+            np.savez(fh, matrices=tensor.matrices, gramian=tensor.gramian,
+                     version=np.array(fim.TENSOR_VERSION))
+        with pytest.raises(CacheMismatch, match="not a FIM tensor cache"):
+            fim.load_tensor(path, expect_hash="abc123")
+
+    def test_version1_file_rejected(self, problem, tmp_path):
+        # the earlier layout: one JSON header line, then raw float64 payload
+        _, _, _, _, tensor = problem
+        header = {"format": "fim-tensor", "version": 1, "config_hash": "abc123",
+                  "dims": [tensor.n_obs, tensor.n_time, tensor.n_basis],
+                  "alpha0": 0.01, "alpha1": 1.0, "instants": list(range(7))}
+        path = tmp_path / "tensor.fim"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
+                         + tensor.matrices.tobytes() + tensor.gramian.tobytes())
+        with pytest.raises(CacheMismatch, match="not a FIM tensor cache"):
+            fim.load_tensor(path, expect_hash="abc123")
+
+    def test_disagreeing_shapes_rejected(self, problem, tmp_path):
+        _, _, _, _, tensor = problem
+        path = tmp_path / "tensor.fim"
+        for mats, gram in ((tensor.matrices, tensor.gramian[:2, :2]),
+                           (tensor.matrices[0], tensor.gramian)):
+            fim.save_tensor(fim.FimTensor(matrices=mats, gramian=gram), path,
+                            config_hash="abc123")
+            with pytest.raises(CacheMismatch, match="shapes"):
                 fim.load_tensor(path, expect_hash="abc123")
 
     def test_save_is_atomic(self, problem, tmp_path):
@@ -267,8 +330,7 @@ class TestTensorCache:
         assert [p.name for p in tmp_path.iterdir()] == ["tensor.fim"]
         before = path.read_bytes()
         broken = fim.FimTensor(matrices=tensor.matrices,
-                               gramian=np.array([["not a number"]], dtype=object),
-                               instants=tensor.instants, alpha0=0.01, alpha1=1.0)
+                               gramian=np.array([["not a number"]], dtype=object))
         with pytest.raises(ValueError):
             fim.save_tensor(broken, path, config_hash="other")
         assert path.read_bytes() == before

@@ -35,8 +35,7 @@ def synthetic_tensor(n_obs, n_time, n_basis, rng, rank=None, gramian=None):
     if gramian is None:
         b = rng.standard_normal((n_basis, n_basis))
         gramian = b @ b.T + n_basis * np.eye(n_basis)
-    return fim.FimTensor(matrices=mats, gramian=gramian,
-                         instants=np.arange(n_time), alpha0=0.01, alpha1=1.0)
+    return fim.FimTensor(matrices=mats, gramian=gramian)
 
 
 def phi_of(w, tensor):
@@ -83,8 +82,7 @@ class TestACriterion:
 class TestGradient:
     def test_identity_tensor(self):
         mats = np.broadcast_to(np.eye(4), (2, 3, 4, 4)).copy()
-        tensor = fim.FimTensor(matrices=mats, gramian=np.eye(4),
-                               instants=np.arange(3), alpha0=0.01, alpha1=1.0)
+        tensor = fim.FimTensor(matrices=mats, gramian=np.eye(4))
         w = np.full(6, 1.0 / 6.0)           # combine = I
         grad = oed.ReducedProblem(tensor).gradient(w)
         assert np.allclose(grad, -4.0)
@@ -157,8 +155,7 @@ class TestTorsneyMaster:
         mat = base @ base.T + np.eye(3)
         mats = np.stack([mat, mat])[None, :, :, :].transpose(1, 0, 2, 3)
         tensor = fim.FimTensor(matrices=mats.reshape(2, 1, 3, 3),
-                               gramian=np.eye(3), instants=np.array([0]),
-                               alpha0=0.01, alpha1=1.0)
+                               gramian=np.eye(3))
         vertices = np.array([[1.0, 0.0], [0.0, 1.0]])
         gamma = master(vertices, tensor, gamma0=np.array([0.5, 0.5]))
         assert np.allclose(gamma, [0.5, 0.5])
@@ -223,8 +220,7 @@ class TestOptimalityResidual:
 
     def test_equal_gradients_zero_violation(self):
         mats = np.broadcast_to(np.eye(3), (1, 4, 3, 3)).copy()
-        tensor = fim.FimTensor(matrices=mats, gramian=np.eye(3),
-                               instants=np.arange(4), alpha0=0.01, alpha1=1.0)
+        tensor = fim.FimTensor(matrices=mats, gramian=np.eye(3))
         w = np.full(4, 0.5)
         xi, viol = oed.ReducedProblem(tensor).residual(w, 2)
         assert viol.max() <= 1e-12
@@ -262,8 +258,7 @@ class TestSimplicialDecomposition:
             a = rng.standard_normal((n_basis, n_basis))
             small = a @ a.T
             mats[0, li] = 0.5 * small / np.linalg.norm(small, 2)
-        tensor = fim.FimTensor(matrices=mats, gramian=np.eye(n_basis),
-                               instants=np.arange(4), alpha0=0.01, alpha1=1.0)
+        tensor = fim.FimTensor(matrices=mats, gramian=np.eye(n_basis))
         result = oed.simplicial_decomposition(tensor, budget=1, tol_outer=1e-5)
         assert result.design.weights[0] >= 1.0 - 1e-5
         assert result.design.weights[1:].max() <= 1e-5
@@ -308,8 +303,7 @@ class TestSimplicialDecomposition:
             mats[1, li] = p @ mats[0, li] @ p.T
         gram = np.array([[2.0, 0.3, 0.4], [0.3, 2.0, 0.4], [0.4, 0.4, 3.0]])
         assert np.array_equal(p @ gram @ p.T, gram)
-        tensor = fim.FimTensor(matrices=mats, gramian=gram,
-                               instants=np.arange(n_time), alpha0=0.01, alpha1=1.0)
+        tensor = fim.FimTensor(matrices=mats, gramian=gram)
         result = oed.simplicial_decomposition(tensor, budget=2, tol_outer=1e-6)
         w = result.design.weights.reshape(2, n_time)
         mirrored = w[::-1].reshape(-1)
