@@ -26,7 +26,6 @@ def _add_common(parser):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--stage-cache", default=None,
                         help="directory for the FIM tensor cache")
-    parser.add_argument("--case", default=None, help="override the case label")
 
 
 def build_parser():
@@ -61,8 +60,6 @@ def build_parser():
 
 def _pipeline_for(args):
     config = load_config(args.config)
-    if args.case:
-        config.case = args.case
     cache = args.stage_cache if args.stage_cache else Path(args.out) / "cache"
     return Pipeline(config, args.out, cache_dir=cache)
 

@@ -22,6 +22,14 @@ from . import fem, fim, oed, shape
 from .errors import ConfigError
 from .mesh import DEFAULT_INCLUSION_CONTROL, GeometrySpec, RobinSpan
 
+#: largest sensitivity block (8 bytes x n_basis x (n_steps + 1) x nodes) a
+#: config may ask for; load_config rejects larger ones before any stage runs
+MAX_SENSITIVITY_BYTES = 2 * 1024 ** 3
+#: every mesh measured had at least MIN_NODES_H2 / h^2 nodes (2.65-12.1 / h^2
+#: for h = 0.01-0.2, with and without sensors), so a config whose floor
+#: exceeds node_cap cannot finish
+MIN_NODES_H2 = 2.0
+
 _BOX = {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4}
 _POINTS = {"type": "array", "items": {"type": "array", "items": {"type": "number"},
                                       "minItems": 2, "maxItems": 2}, "minItems": 3}
@@ -238,6 +246,16 @@ def load_config(source) -> Config:
         cfg.geometry.validate()
     except ValueError as err:
         raise ConfigError(f"$.geometry: {err}") from err
+    geo = cfg.geometry
+    min_nodes = MIN_NODES_H2 / geo.h / geo.h
+    if min_nodes > geo.node_cap:
+        raise ConfigError(f"$.geometry.h: h = {geo.h} meshes to at least "
+                          f"{min_nodes:.0f} nodes, above node_cap {geo.node_cap}")
+    block = 8 * cfg.basis.n_basis * (cfg.physics.n_steps + 1) * min_nodes
+    if block > MAX_SENSITIVITY_BYTES:
+        raise ConfigError(f"$.physics.n_steps: the sensitivity block would take at "
+                          f"least {block / 1024 ** 3:.1f} GiB, above "
+                          f"{MAX_SENSITIVITY_BYTES / 1024 ** 3:.0f} GiB")
     instants = cfg.instants()
     if instants and (min(instants) < 0 or max(instants) > cfg.physics.n_steps):
         raise ConfigError("$.design.instants: instants outside the time grid")

@@ -7,6 +7,10 @@ their circumcenters, and constrained segments whose diametral circle is
 encroached are split at their midpoints. All processing orders are fixed by
 creation index, so the same input always yields the same mesh.
 
+Every constrained edge records its source, the input polyline it came from,
+and both halves of a split inherit it, so segment tags are read from the
+input, not guessed from geometry. Crossings are checked once, on the input.
+
 Tagged entities:
   triangle regions  -> bulk / inclusion (centroid-in-polygon test)
   boundary segments -> dirichlet, robin (with per-segment beta), holdall,
@@ -32,6 +36,7 @@ from .errors import (
 
 _MERGE_TOL = 1e-12
 _ON_TOL = 1e-9
+THETA_MIN = 20.0  # degrees; Ruppert's termination proof covers up to ~20.7
 
 
 def _orient(a, b, c):
@@ -94,7 +99,7 @@ class Triangulation:
         self.points = []
         self.tri_v = {}
         self.edge_tris = {}
-        self.constrained = set()
+        self.constrained = {}        # edge key -> source polyline index
         self._next_tri = 0
         self._hint = None
         self._super = ()
@@ -346,18 +351,17 @@ def strip_super(tr):
 
 
 def recover_constraints(tr, segments):
-    """Force each segment (pairs of point indices) to appear as an edge.
+    """Force each segment (u, v, source) to appear as a constrained edge
+    that records `source`, the index of the input polyline it came from.
 
-    Indices refer to the original input points handed to the triangulator.
-    Raises ConstraintCrossing when two input segments intersect in their
-    interiors. Flipped regions are re-legalized, so the Delaunay property
+    u and v index the original input points handed to the triangulator.
+    Raises ConstraintCrossing when a segment crosses an edge recovered
+    before it. Flipped regions are re-legalized, so the Delaunay property
     holds away from the constraints.
     """
     remap = tr.input_index
-    segs = [(int(remap[u]), int(remap[v])) for u, v in segments]
-    _validate_no_crossings(tr.point_array(), segs)
-    for u, v in segs:
-        _enforce_segment(tr, u, v)
+    for u, v, source in segments:
+        _enforce_segment(tr, int(remap[u]), int(remap[v]), source)
     return tr
 
 
@@ -386,23 +390,24 @@ def _validate_no_crossings(pts, segs):
 
 
 def _collinear_between(p, a, b, tol=1e-12):
-    """True when p lies strictly inside segment ab (within tol)."""
+    """True where p lies strictly inside segment ab (within tol); p may be a
+    point or a (2, n) coordinate array of n points."""
     ab = (b[0] - a[0], b[1] - a[1])
     length2 = ab[0] * ab[0] + ab[1] * ab[1]
     if length2 == 0.0:
         return False
     cross = _orient(a, b, p)
-    if cross * cross > tol * length2 * length2:
-        return False
     t = ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / length2
-    return 1e-12 < t < 1.0 - 1e-12
+    return (cross * cross <= tol * length2 * length2) & (1e-12 < t) & (t < 1.0 - 1e-12)
 
 
-def _enforce_segment(tr, u, v):
+def _enforce_segment(tr, u, v, source):
     if u == v:
         return
     if tr.has_edge(u, v):
-        tr.constrained.add(_edge_key(u, v))
+        # an edge that several polylines share keeps the lowest source
+        key = _edge_key(u, v)
+        tr.constrained[key] = min(source, tr.constrained.get(key, source))
         return
     pu, pv = tr.points[u], tr.points[v]
     # a vertex on the segment splits the constraint
@@ -410,8 +415,8 @@ def _enforce_segment(tr, u, v):
         if w in (u, v):
             continue
         if _collinear_between(tr.points[w], pu, pv):
-            _enforce_segment(tr, u, w)
-            _enforce_segment(tr, w, v)
+            _enforce_segment(tr, u, w, source)
+            _enforce_segment(tr, w, v, source)
             return
     crossing = deque(_edges_crossing(tr, u, v))
     budget = 20 * (len(crossing) + 4) ** 2 + 200
@@ -437,7 +442,7 @@ def _enforce_segment(tr, u, v):
             crossing.append(new_key)
     if not tr.has_edge(u, v):
         raise ConstraintCrossing(f"failed to recover segment ({u}, {v})")
-    tr.constrained.add(_edge_key(u, v))
+    tr.constrained[_edge_key(u, v)] = source
     tr.legalize(touched)
 
 
@@ -512,30 +517,29 @@ def _split_segment(tr, key, work, node_cap):
         work.append(tr._create(m, y, w))
         suspect.append(_edge_key(x, w))
         suspect.append(_edge_key(y, w))
-    tr.constrained.discard(key)
-    tr.constrained.add(_edge_key(u, m))
-    tr.constrained.add(_edge_key(m, v))
+    source = tr.constrained.pop(key)
+    tr.constrained[_edge_key(u, m)] = source
+    tr.constrained[_edge_key(m, v)] = source
     tr.legalize(suspect)
     for sub in (_edge_key(u, m), _edge_key(m, v)):
         if _segment_encroached(tr, sub):
             _split_segment(tr, sub, work, node_cap)
 
 
-def refine(tr, theta_min=20.0, h=None, node_cap=200000):
+def refine(tr, h=None, node_cap=200000):
     """Ruppert-style refinement to a minimum angle and target edge length.
 
-    Boundary edges (used by a single triangle) are treated as constrained.
-    A triangle is split when its minimum angle falls below `theta_min`
-    degrees or, when `h` is given, its longest edge exceeds `h`. A pass
-    queues the bad, unstalled triangles in id order, then those its splits
-    create; passes repeat while they progress. Raises
+    Boundary edges (used by a single triangle) are treated as constrained;
+    those not constrained yet get source 0, the outer polyline of
+    `build_mesh`. A triangle is split when its minimum angle falls below
+    `THETA_MIN` degrees or, when `h` is given, its longest edge exceeds `h`.
+    A pass queues the bad, unstalled triangles in id order, then those its
+    splits create; passes repeat while they progress. Raises
     RefinementBudgetExceeded when the node cap is hit first.
     """
-    if theta_min > 25.0:
-        raise ValueError("theta_min above 25 degrees is not guaranteed to terminate")
     for key, owners in tr.edge_tris.items():
         if len(owners) == 1:
-            tr.constrained.add(key)
+            tr.constrained.setdefault(key, 0)
 
     work = deque()
     for key in sorted(tr.constrained):
@@ -544,7 +548,7 @@ def refine(tr, theta_min=20.0, h=None, node_cap=200000):
 
     def is_bad(tid):
         min_angle, longest = _tri_geometry(tr, tid)
-        if min_angle < theta_min * (1.0 - 1e-12):
+        if min_angle < THETA_MIN * (1.0 - 1e-12):
             return True
         return h is not None and longest > h * (1.0 + 1e-12)
 
@@ -729,6 +733,12 @@ class GeometrySpec:
                 raise ValueError("inclusion polygon has crossing edges") from None
             if _polygon_area(poly) == 0.0:
                 raise ValueError("inclusion polygon has zero area")
+            # a self-touching polygon's interface is no single closed loop
+            if len(merge_close_points(poly, _MERGE_TOL)[0]) < n:
+                raise ValueError("inclusion polygon has a repeated vertex")
+            # an edge's own end points sit at t = 0 and 1, never strictly inside
+            if any(_collinear_between(poly.T, poly[j], poly[(j + 1) % n]).any() for j in range(n)):
+                raise ValueError("inclusion polygon has a vertex on a non-adjacent edge")
         for i, box in enumerate(self.sensors):
             bx0, by0, bx1, by1 = box
             if not (0.0 <= bx0 < bx1 <= 1.0 and 0.0 <= by0 < by1 <= 1.0):
@@ -858,22 +868,22 @@ class Patch:
         return lookup[tris]
 
 
-def _subdivide_polyline(points, h, closed=False):
-    """Split each leg into pieces no longer than h; returns points, segments."""
+def _subdivide_polyline(points, h):
+    """Split each leg of a closed polyline into pieces no longer than h;
+    returns points, segments."""
     pts = [tuple(map(float, points[0]))]
     segs = []
     n = len(points)
-    legs = n if closed else n - 1
-    for i in range(legs):
+    for i in range(n):
         a = np.asarray(points[i], dtype=float)
         b = np.asarray(points[(i + 1) % n], dtype=float)
         pieces = max(1, int(math.ceil(math.dist(a, b) / h - 1e-12)))
         for k in range(1, pieces + 1):
-            q = a + (b - a) * (k / pieces)
             last = len(pts) - 1
-            if closed and i == legs - 1 and k == pieces:
+            if i == n - 1 and k == pieces:
                 segs.append((last, 0))
             else:
+                q = a + (b - a) * (k / pieces)
                 pts.append((float(q[0]), float(q[1])))
                 segs.append((last, last + 1))
     return pts, segs
@@ -888,6 +898,7 @@ def build_mesh(spec: GeometrySpec) -> Mesh:
     """Generate the tagged mesh for a geometry specification."""
     spec.validate()
     h = spec.h
+    # a segment's source is its polyline's index here; shared edges keep the lowest
     polylines = [(_box_polyline((0.0, 0.0, 1.0, 1.0)), "outer")]
     polylines.append((_box_polyline(spec.holdall), "holdall"))
     for k, box in enumerate(spec.sensors):
@@ -898,11 +909,11 @@ def build_mesh(spec: GeometrySpec) -> Mesh:
 
     all_points = []
     all_segments = []
-    for pts, _src in polylines:
+    for source, (pts, _label) in enumerate(polylines):
         base = len(all_points)
-        sub_pts, sub_segs = _subdivide_polyline(pts, h, closed=True)
+        sub_pts, sub_segs = _subdivide_polyline(pts, h)
         all_points.extend(sub_pts)
-        all_segments.extend((base + u, base + v) for u, v in sub_segs)
+        all_segments.extend((base + u, base + v, source) for u, v in sub_segs)
     # split outer-boundary points at robin span breaks and dirichlet corners
     for span in spec.robin_spans:
         for val in (span.lo, span.hi):
@@ -912,7 +923,7 @@ def build_mesh(spec: GeometrySpec) -> Mesh:
     recover_constraints(tr, all_segments)
     strip_super(tr)
     refine(tr, h=h, node_cap=spec.node_cap)
-    return _tag_mesh(tr, spec, poly)
+    return _tag_mesh(tr, spec, poly, [label for _pts, label in polylines])
 
 
 def _side_point(side, val):
@@ -941,15 +952,7 @@ def _side_coord(side, mid):
     raise ValueError(side)
 
 
-def _on_box_boundary(mid, box):
-    x0, y0, x1, y1 = box
-    x, y = mid
-    on_vert = (abs(x - x0) <= _ON_TOL or abs(x - x1) <= _ON_TOL) and y0 - _ON_TOL <= y <= y1 + _ON_TOL
-    on_horz = (abs(y - y0) <= _ON_TOL or abs(y - y1) <= _ON_TOL) and x0 - _ON_TOL <= x <= x1 + _ON_TOL
-    return on_vert or on_horz
-
-
-def _tag_mesh(tr, spec, poly):
+def _tag_mesh(tr, spec, poly, labels):
     nodes = tr.point_array()
     tri_ids = tr.triangle_ids()
     triangles = np.array([tr.tri_v[t] for t in tri_ids], dtype=int)
@@ -967,22 +970,10 @@ def _tag_mesh(tr, spec, poly):
     else:
         regions = np.zeros(len(triangles), dtype=int)
 
-    # region-contrast edges define the interface
-    region_of = {}
-    for t, verts in enumerate(triangles):
-        a, b, c = (int(v) for v in verts)
-        for u, v in ((a, b), (b, c), (c, a)):
-            region_of.setdefault(_edge_key(u, v), []).append(regions[t])
-
     seg_nodes, seg_kind, seg_ref, seg_beta = [], [], [], []
-    for key in sorted(tr.constrained):
-        if key not in tr.edge_tris:
-            continue
+    for key, source in sorted(tr.constrained.items()):
         u, v = (int(new_index[key[0]]), int(new_index[key[1]]))
-        mid = 0.5 * (nodes[u] + nodes[v])
-        kind, ref, beta = _classify_edge(mid, (u, v), region_of, spec)
-        if kind is None:
-            continue
+        kind, ref, beta = _classify_edge(0.5 * (nodes[u] + nodes[v]), labels[source], spec)
         seg_nodes.append((u, v))
         seg_kind.append(kind)
         seg_ref.append(ref)
@@ -1001,30 +992,19 @@ def _tag_mesh(tr, spec, poly):
     return mesh
 
 
-def _classify_edge(mid, edge, region_of, spec):
-    """Map a constrained edge to (kind, ref, beta); None drops the edge."""
-    on_outer = (abs(mid[0]) <= _ON_TOL or abs(mid[0] - 1.0) <= _ON_TOL
-                or abs(mid[1]) <= _ON_TOL or abs(mid[1] - 1.0) <= _ON_TOL)
-    if on_outer:
-        if spec.dirichlet_side == "all":
-            return "dirichlet", -1, 0.0
-        on_side, _ = _side_coord(spec.dirichlet_side, mid)
-        if on_side:
-            return "dirichlet", -1, 0.0
-        for i, span in enumerate(spec.robin_spans):
-            on_side, coord = _side_coord(span.side, mid)
-            if on_side and span.lo - _ON_TOL <= coord <= span.hi + _ON_TOL:
-                return "robin", i, span.beta
-        return "robin", -1, 0.0
-    tags = region_of.get(_edge_key(*edge), [])
-    if len(tags) == 2 and tags[0] != tags[1]:
-        return "interface", -1, 0.0
-    if _on_box_boundary(mid, spec.holdall):
-        return "holdall", -1, 0.0
-    for k, box in enumerate(spec.sensors):
-        if _on_box_boundary(mid, box):
-            return "sensor", k, 0.0
-    return None, -1, 0.0
+def _classify_edge(mid, label, spec):
+    """(kind, ref, beta) of a constrained edge from its source's label; an
+    outer edge's midpoint places it on the Dirichlet side or a Robin span."""
+    if label != "outer":
+        kind, _, ref = label.partition(":")
+        return kind, int(ref or -1), 0.0
+    if spec.dirichlet_side == "all" or _side_coord(spec.dirichlet_side, mid)[0]:
+        return "dirichlet", -1, 0.0
+    for i, span in enumerate(spec.robin_spans):
+        on_side, coord = _side_coord(span.side, mid)
+        if on_side and span.lo - _ON_TOL <= coord <= span.hi + _ON_TOL:
+            return "robin", i, span.beta
+    return "robin", -1, 0.0
 
 
 def _build_patches(mesh, spec, centroids):

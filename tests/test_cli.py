@@ -434,13 +434,30 @@ class TestCli:
     @pytest.mark.parametrize("poly, reason", [
         ([[0.45, 0.45], [0.55, 0.55], [0.55, 0.45], [0.45, 0.55]], "crossing edges"),
         ([[0.5, 0.5], [0.55, 0.5], [0.6, 0.5]], "zero area"),
-    ], ids=["bowtie", "collinear"])
+        ([[0.45, 0.45], [0.55, 0.45], [0.5, 0.5], [0.55, 0.55], [0.45, 0.55], [0.5, 0.5]],
+         "a repeated vertex"),
+        ([[0.42, 0.42], [0.58, 0.42], [0.58, 0.58], [0.5, 0.42]],
+         "a vertex on a non-adjacent edge"),
+    ], ids=["bowtie", "collinear", "self-touching", "vertex-on-edge"])
     def test_invalid_inclusion_polygon_exit_code(self, tmp_path, capsys, poly, reason):
         cfg_path = write_config(tmp_path, **{"geometry.inclusion_polygon": poly})
         code = cli.main(["generate-mesh", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         assert f"$.geometry: inclusion polygon has {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, path", [
+        # 2/h^2 = 80,000 nodes at least, against a cap of 5,000
+        ({"geometry.h": 0.005, "geometry.node_cap": 5000}, "$.geometry.h"),
+        # 8 bytes x 4 fields x 10^6 steps x 200 nodes at least: 6.4 GB
+        ({"physics.n_steps": 10 ** 6}, "$.physics.n_steps"),
+    ], ids=["h-against-node-cap", "n-steps"])
+    def test_size_that_cannot_finish_exit_code(self, tmp_path, capsys, overrides, path):
+        cfg_path = write_config(tmp_path, **overrides)
+        code = cli.main(["generate-mesh", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert path in capsys.readouterr().err
 
     def test_compare_dimension_mismatch_exit_code(self, tmp_path, capsys):
         a = write_config(tmp_path, case="four")

@@ -63,6 +63,10 @@ def mesh_digest(m):
     return h.hexdigest()
 
 
+#: sensors touching the outer box, each other (0 and 1) and the hold-all (2)
+TOUCHING_SENSORS = [(0.0, 0.0, 0.3, 0.3), (0.3, 0.0, 0.6, 0.2), (0.05, 0.35, 0.35, 0.65)]
+
+
 def shoelace(poly):
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -105,7 +109,7 @@ class TestConstraints:
     def test_forced_diagonal(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.05), (0.5, 0.95)]
         tr = delaunay(pts)
-        mesh.recover_constraints(tr, [(0, 2)])
+        mesh.recover_constraints(tr, [(0, 2, 0)])
         u, v = tr.input_index[0], tr.input_index[2]
         assert tr.has_edge(u, v)
 
@@ -119,7 +123,7 @@ class TestConstraints:
                 if tr.has_edge(tr.input_index[a], tr.input_index[b]) and abs(a - b) == 2:
                     diag = (a, b)
         assert diag is not None
-        mesh.recover_constraints(tr, [diag])
+        mesh.recover_constraints(tr, [(*diag, 0)])
         after = {tuple(t) for t in triangle_array(tr).tolist()}
         assert before == after
 
@@ -129,17 +133,21 @@ class TestConstraints:
         angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
         ring = 0.5 + 0.3 * np.column_stack([np.cos(angles), np.sin(angles)])
         pts = np.vstack([ring, cloud])
-        segs = [(i, (i + 1) % 16) for i in range(16)]
+        segs = [(i, (i + 1) % 16, 0) for i in range(16)]
         tr = mesh.bowyer_watson(pts)
         mesh.recover_constraints(tr, segs)
-        for u, v in segs:
+        for u, v, _ in segs:
             assert tr.has_edge(tr.input_index[u], tr.input_index[v])
 
-    def test_crossing_constraints_raise(self):
+    @pytest.mark.parametrize("segs", [[(0, 2, 0), (1, 3, 0)], [(1, 3, 0), (0, 2, 0)]],
+                             ids=["diagonal-02-first", "diagonal-13-first"])
+    def test_crossing_constraints_raise(self, segs):
+        # recovery is the only crossing check for direct callers: whichever
+        # diagonal comes second meets the first as a constrained edge
         pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
         tr = delaunay(pts)
         with pytest.raises(ConstraintCrossing):
-            mesh.recover_constraints(tr, [(0, 2), (1, 3)])
+            mesh.recover_constraints(tr, segs)
 
     def test_triangle_ids_ascend_after_inserts_flips_and_splits(self):
         rng = np.random.default_rng(7)
@@ -147,10 +155,10 @@ class TestConstraints:
         tr = mesh.bowyer_watson(pts)
         u, v = tr.input_index[0], tr.input_index[1]
         assert not tr.has_edge(u, v)
-        mesh.recover_constraints(tr, [(0, 1)])          # flips
+        mesh.recover_constraints(tr, [(0, 1, 0)])  # flips
         assert tr.triangle_ids() == sorted(tr.tri_v)
         mesh.strip_super(tr)
-        mesh.refine(tr, theta_min=20.0, h=0.2)          # inserts and splits
+        mesh.refine(tr, h=0.2)  # inserts and splits
         assert not tr.has_edge(u, v)
         assert tr.triangle_ids() == sorted(tr.tri_v)
         for p in rng.random((10, 2)) * 0.8 + 0.1:
@@ -167,14 +175,14 @@ class TestRefine:
         pts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
         tr = delaunay(pts)
         before = {tuple(t) for t in triangle_array(tr).tolist()}
-        mesh.refine(tr, theta_min=20.0, h=None)
+        mesh.refine(tr, h=None)
         after = {tuple(t) for t in triangle_array(tr).tolist()}
         assert before == after
 
     def test_sliver_gets_fixed(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.02)]
         tr = delaunay(pts)
-        mesh.refine(tr, theta_min=20.0, h=None)
+        mesh.refine(tr, h=None)
         tris = triangle_array(tr)
         nodes = tr.point_array()
         for t in tris:
@@ -184,7 +192,7 @@ class TestRefine:
     def test_unit_square_node_count(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
         tr = delaunay(pts)
-        mesh.refine(tr, theta_min=20.0, h=0.05)
+        mesh.refine(tr, h=0.05)
         n_nodes = len(np.unique(triangle_array(tr)))
         assert 300 <= n_nodes <= 1500
         nodes = tr.point_array()
@@ -197,7 +205,7 @@ class TestRefine:
     def test_refined_still_delaunay(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
         tr = delaunay(pts)
-        mesh.refine(tr, theta_min=20.0, h=0.08)
+        mesh.refine(tr, h=0.08)
         tris = triangle_array(tr)
         used = np.unique(tris)
         remap = np.full(len(tr.points), -1, dtype=int)
@@ -210,7 +218,7 @@ class TestRefine:
         rng = np.random.default_rng(55)
         pts = np.vstack([[(0, 0), (1, 0), (1, 1), (0, 1)], rng.random((300, 2))])
         tr = delaunay(pts)
-        mesh.refine(tr, theta_min=20.0, h=0.04)
+        mesh.refine(tr, h=0.04)
         tris = triangle_array(tr)
         used = np.unique(tris)
         assert 1200 <= len(used) <= 2000
@@ -390,7 +398,7 @@ class TestMeshStress:
         cloud = rng.random((120, 2))
         pts = np.vstack([[(0.0, 0.501), (1.0, 0.502)], cloud])
         tr = mesh.bowyer_watson(pts)
-        mesh.recover_constraints(tr, [(0, 1)])
+        mesh.recover_constraints(tr, [(0, 1, 0)])
         assert tr.has_edge(tr.input_index[0], tr.input_index[1])
 
     def test_build_deterministic(self):
@@ -416,6 +424,42 @@ class TestMeshStress:
         m = mesh.build_mesh(spec)
         assert len(m.nodes) == n_nodes
         assert mesh_digest(m) == digest
+
+    @pytest.mark.parametrize("layout, n_nodes, digest", [
+        ({"robin_spans": [mesh.RobinSpan("bottom", 0.0, 0.5, 10.0)]}, 1660,
+         "4cbb2982933255332856d21413eef58b6c7eb43c352ac1fbc81489685f00de94"),
+        ({"dirichlet_side": "all"}, 1665,
+         "7202f9d49cc4929c15f21eeda6083cee42615b3974eec153cab9cb007dac904d"),
+        ({"sensors": TOUCHING_SENSORS, "h": 0.05}, 1239,
+         "2963fc490b28cd132ac670982d614b9ff3d62f7621e3f9f5c8e8d96dd6aba83a"),
+    ], ids=["case1-robin", "dirichlet-all", "touching-sensors"])
+    def test_precedence_layout_mesh_bytes_pinned(self, layout, n_nodes, digest):
+        # edges that several input polylines share: the tag must follow the
+        # order outer, hold-all, sensor k (lowest k first)
+        spec = mesh.GeometrySpec(spline_control=mesh.DEFAULT_INCLUSION_CONTROL, **layout)
+        m = mesh.build_mesh(spec)
+        assert len(m.nodes) == n_nodes
+        assert mesh_digest(m) == digest
+
+    def test_shared_edges_take_the_first_source(self):
+        spec = mesh.GeometrySpec(spline_control=mesh.DEFAULT_INCLUSION_CONTROL,
+                                 sensors=TOUCHING_SENSORS, h=0.05)
+        m = mesh.build_mesh(spec)
+        mid = 0.5 * (m.nodes[m.seg_nodes[:, 0]] + m.nodes[m.seg_nodes[:, 1]])
+        x, y = mid[:, 0], mid[:, 1]
+
+        def tags(mask):
+            assert mask.any()
+            return set(zip(m.seg_kind[mask].tolist(), m.seg_ref[mask].tolist()))
+
+        # sensors 0 and 1 on the outer box: the outer boundary condition
+        on_outer = ((np.abs(y) < 1e-9) & (x < 0.6)) | ((np.abs(x) < 1e-9) & (y < 0.3))
+        assert {kind for kind, _ in tags(on_outer)} <= {"dirichlet", "robin"}
+        # sensor 2's right side is the hold-all's left side
+        assert tags((np.abs(x - 0.35) < 1e-9) & (y > 0.35) & (y < 0.65)) == {("holdall", -1)}
+        # the side sensors 0 and 1 share belongs to sensor 0
+        assert tags((np.abs(x - 0.3) < 1e-9) & (y < 0.2)) == {("sensor", 0)}
+        assert tags((np.abs(y - 0.2) < 1e-9) & (x > 0.3) & (x < 0.6)) == {("sensor", 1)}
 
     def test_node_cap_enforced(self):
         from diffdesign.errors import RefinementBudgetExceeded

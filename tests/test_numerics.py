@@ -276,7 +276,7 @@ class TestCgSolve:
         from diffdesign import mesh
         from test_mesh import delaunay, triangle_array
         tr = delaunay([(0, 0), (1, 0), (1, 1), (0, 1)])
-        mesh.refine(tr, theta_min=20.0, h=0.2)
+        mesh.refine(tr, h=0.2)
         tris = triangle_array(tr)
         used = np.unique(tris)
         remap = np.full(len(tr.points), -1, dtype=int)
