@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .mesh import DEFAULT_INCLUSION_CONTROL, GeometrySpec, RobinSpan
 
 #: largest sensitivity block (8 bytes x n_basis x (n_steps + 1) x nodes) a
-#: config may ask for; load_config rejects larger ones before any stage runs
+#: config may ask for; see check_sensitivity_size
 MAX_SENSITIVITY_BYTES = 2 * 1024 ** 3
 #: every mesh measured had at least MIN_NODES_H2 / h^2 nodes (2.65-12.1 / h^2
 #: for h = 0.01-0.2, with and without sensors), so a config whose floor
@@ -47,7 +47,7 @@ SCHEMA = {
                 "holdall": _BOX,
                 "inclusion_polygon": _POINTS,
                 "spline_control": _POINTS,
-                "spline_samples": {"type": "integer", "minimum": 8},
+                "spline_samples": {"type": "integer", "minimum": 8, "maximum": 1024},
                 "sensors": {"type": "array", "items": _BOX},
                 "dirichlet_side": {"enum": ["top", "bottom", "left", "right", "all"]},
                 "robin_spans": {
@@ -182,6 +182,17 @@ class Config:
         return list(range(self.physics.n_steps + 1))
 
 
+def check_sensitivity_size(cfg: Config, n_nodes):
+    """Raise ConfigError when the sensitivity block on `n_nodes` nodes, 8 bytes
+    x n_basis x (n_steps + 1) x n_nodes, exceeds MAX_SENSITIVITY_BYTES; the
+    forward trajectory is one field of it."""
+    block = 8 * cfg.basis.n_basis * (cfg.physics.n_steps + 1) * n_nodes
+    if block > MAX_SENSITIVITY_BYTES:
+        raise ConfigError(f"$.physics.n_steps: the sensitivity block on {n_nodes:.0f} "
+                          f"nodes would take {block / 1024 ** 3:.1f} GiB, above "
+                          f"{MAX_SENSITIVITY_BYTES / 1024 ** 3:.0f} GiB")
+
+
 def _geometry_from_dict(raw):
     spec = GeometrySpec()
     if "holdall" in raw:
@@ -251,11 +262,8 @@ def load_config(source) -> Config:
     if min_nodes > geo.node_cap:
         raise ConfigError(f"$.geometry.h: h = {geo.h} meshes to at least "
                           f"{min_nodes:.0f} nodes, above node_cap {geo.node_cap}")
-    block = 8 * cfg.basis.n_basis * (cfg.physics.n_steps + 1) * min_nodes
-    if block > MAX_SENSITIVITY_BYTES:
-        raise ConfigError(f"$.physics.n_steps: the sensitivity block would take at "
-                          f"least {block / 1024 ** 3:.1f} GiB, above "
-                          f"{MAX_SENSITIVITY_BYTES / 1024 ** 3:.0f} GiB")
+    # on the floor here; Pipeline.forward repeats it on the real mesh
+    check_sensitivity_size(cfg, min_nodes)
     instants = cfg.instants()
     if instants and (min(instants) < 0 or max(instants) > cfg.physics.n_steps):
         raise ConfigError("$.design.instants: instants outside the time grid")

@@ -11,6 +11,10 @@ Every constrained edge records its source, the input polyline it came from,
 and both halves of a split inherit it, so segment tags are read from the
 input, not guessed from geometry. Crossings are checked once, on the input.
 
+Adjacency is one map from each directed edge to its counter-clockwise
+triangle, and each predicate (orientation, proper crossing, diametral-circle
+encroachment) has one function, taking points or coordinate arrays.
+
 Tagged entities:
   triangle regions  -> bulk / inclusion (centroid-in-polygon test)
   boundary segments -> dirichlet, robin (with per-segment beta), holdall,
@@ -74,14 +78,21 @@ def _in_circumcircle(a, b, c, p):
 
 
 def _segments_cross(p1, p2, q1, q2):
-    """True when segments p1p2 and q1q2 intersect in both interiors."""
+    """True where segments p1p2 and q1q2 intersect in both interiors; the
+    end points may be points or broadcasting coordinate arrays."""
     d1 = _orient(q1, q2, p1)
     d2 = _orient(q1, q2, p2)
     d3 = _orient(p1, p2, q1)
     d4 = _orient(p1, p2, q2)
     eps = 1e-14
-    return ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and \
-           ((d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps))
+    return (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & \
+           (((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps)))
+
+
+def _encroaches(p, u, v):
+    """True where p lies inside the diametral circle of segment uv, i.e.
+    sees it at an obtuse angle; p, u, v may be points or (2, s) arrays."""
+    return (p[0] - u[0]) * (p[0] - v[0]) + (p[1] - u[1]) * (p[1] - v[1]) < -1e-14
 
 
 def _edge_key(u, v):
@@ -93,12 +104,15 @@ class Triangulation:
 
     Points are immutable once inserted; triangles are keyed by creation id
     and extracted in id order, which makes every derived mesh deterministic.
+    Adjacency is one map, `tri_at`, from each directed edge (u, v) to the
+    counter-clockwise triangle that holds u -> v; the neighbour across that
+    edge is the owner of (v, u), and a hull edge has no such twin.
     """
 
     def __init__(self):
         self.points = []
         self.tri_v = {}
-        self.edge_tris = {}
+        self.tri_at = {}             # directed edge -> triangle id
         self.constrained = {}        # edge key -> source polyline index
         self._next_tri = 0
         self._hint = None
@@ -115,26 +129,26 @@ class Triangulation:
         tid = self._next_tri
         self._next_tri += 1
         self.tri_v[tid] = (a, b, c)
-        for u, v in ((a, b), (b, c), (c, a)):
-            self.edge_tris.setdefault(_edge_key(u, v), set()).add(tid)
+        for edge in ((a, b), (b, c), (c, a)):
+            self.tri_at[edge] = tid
         self._hint = tid
         return tid
 
     def _remove(self, tid):
         a, b, c = self.tri_v.pop(tid)
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = _edge_key(u, v)
-            owners = self.edge_tris[key]
-            owners.discard(tid)
-            if not owners:
-                del self.edge_tris[key]
+        for edge in ((a, b), (b, c), (c, a)):
+            del self.tri_at[edge]
 
-    def _neighbor(self, tid, u, v):
-        owners = self.edge_tris.get(_edge_key(u, v), ())
-        for other in owners:
-            if other != tid:
-                return other
-        return None
+    def _neighbor(self, u, v):
+        """The triangle across edge u -> v of a CCW triangle, or None."""
+        return self.tri_at.get((v, u))
+
+    def _owners(self, key):
+        """Ascending ids of the 1 or 2 triangles on undirected edge `key`;
+        empty when it is no edge."""
+        u, v = key
+        return sorted(t for t in (self.tri_at.get((u, v)), self.tri_at.get((v, u)))
+                      if t is not None)
 
     def triangle_ids(self):
         # ids are created ascending and dicts keep insertion order
@@ -144,7 +158,7 @@ class Triangulation:
         return np.asarray(self.points, dtype=float)
 
     def has_edge(self, u, v):
-        return _edge_key(u, v) in self.edge_tris
+        return (u, v) in self.tri_at or (v, u) in self.tri_at
 
     # -- point location ---------------------------------------------------
 
@@ -160,7 +174,7 @@ class Triangulation:
             hull_exit = False
             for u, v in ((a, b), (b, c), (c, a)):
                 if _orient(self.points[u], self.points[v], p) < eps:
-                    nxt = self._neighbor(tid, u, v)
+                    nxt = self._neighbor(u, v)
                     if nxt is None:
                         hull_exit = True
                         continue
@@ -205,7 +219,7 @@ class Triangulation:
             for u, v in ((a, b), (b, c), (c, a)):
                 if _edge_key(u, v) in self.constrained:
                     continue
-                other = self._neighbor(tid, u, v)
+                other = self._neighbor(u, v)
                 if other is None or other in cavity:
                     continue
                 oa, ob, oc = self.tri_v[other]
@@ -217,7 +231,7 @@ class Triangulation:
         for tid in cavity:
             a, b, c = self.tri_v[tid]
             for u, v in ((a, b), (b, c), (c, a)):
-                other = self._neighbor(tid, u, v)
+                other = self._neighbor(u, v)
                 # constrained edges always bound the cavity, even if both
                 # of their triangles were reached around the constraint
                 if other is None or other not in cavity \
@@ -235,10 +249,10 @@ class Triangulation:
     def _quad(self, key):
         """(t1, t2, c, d) for an edge shared by triangles t1 < t2, where c
         and d are their vertices off the edge; None for a hull edge."""
-        owners = self.edge_tris.get(key, ())
+        owners = self._owners(key)
         if len(owners) != 2:
             return None
-        t1, t2 = sorted(owners)
+        t1, t2 = owners
         c = next(w for w in self.tri_v[t1] if w not in key)
         d = next(w for w in self.tri_v[t2] if w not in key)
         return t1, t2, c, d
@@ -371,13 +385,8 @@ def _validate_no_crossings(pts, segs):
     seg = np.asarray(segs, dtype=int)
     a = pts[seg[:, 0]].T
     b = pts[seg[:, 1]].T
-
-    eps = 1e-14
-    # d1[i, j] = orient(a_i, b_i, a_j), d2[i, j] = orient(a_i, b_i, b_j)
-    d1 = _orient(a[:, :, None], b[:, :, None], a[:, None, :])
-    d2 = _orient(a[:, :, None], b[:, :, None], b[:, None, :])
-    straddles = ((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))
-    proper = straddles & straddles.T
+    # proper[i, j]: segment i (rows) crosses segment j (columns)
+    proper = _segments_cross(a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :])
     shared = (
         (seg[:, None, 0] == seg[None, :, 0]) | (seg[:, None, 0] == seg[None, :, 1])
         | (seg[:, None, 1] == seg[None, :, 0]) | (seg[:, None, 1] == seg[None, :, 1])
@@ -427,7 +436,7 @@ def _enforce_segment(tr, u, v, source):
             raise ConstraintCrossing(
                 f"cannot recover segment ({u}, {v}); constraints may intersect")
         key = crossing.popleft()
-        if key not in tr.edge_tris:
+        if not tr.has_edge(*key):
             continue
         if key in tr.constrained:
             raise ConstraintCrossing(
@@ -449,7 +458,11 @@ def _enforce_segment(tr, u, v, source):
 def _edges_crossing(tr, u, v):
     pu, pv = tr.points[u], tr.points[v]
     crossing = []
-    for key in tr.edge_tris:
+    for a, b in tr.tri_at:
+        # each undirected edge once: as (a, b) with a < b when both exist
+        if a > b and (b, a) in tr.tri_at:
+            continue
+        key = _edge_key(a, b)
         if u in key or v in key:
             continue
         if _segments_cross(tr.points[key[0]], tr.points[key[1]], pu, pv):
@@ -476,20 +489,11 @@ def _tri_geometry(tr, tid):
     return min_angle, longest
 
 
-def _encroached_by(tr, key, w):
-    """Vertex w lies inside the diametral circle of constrained edge `key`."""
-    pu, pv = tr.points[key[0]], tr.points[key[1]]
-    pw = tr.points[w]
-    dot = (pw[0] - pu[0]) * (pw[0] - pv[0]) + (pw[1] - pu[1]) * (pw[1] - pv[1])
-    return dot < -1e-14
-
-
 def _segment_encroached(tr, key):
-    for tid in tr.edge_tris.get(key, ()):
-        for w in tr.tri_v[tid]:
-            if w not in key and _encroached_by(tr, key, w):
-                return True
-    return False
+    """An apex of a triangle on `key` encroaches it."""
+    pu, pv = tr.points[key[0]], tr.points[key[1]]
+    return any(w not in key and _encroaches(tr.points[w], pu, pv)
+               for tid in tr._owners(key) for w in tr.tri_v[tid])
 
 
 def _split_segment(tr, key, work, node_cap):
@@ -504,9 +508,8 @@ def _split_segment(tr, key, work, node_cap):
     u, v = key
     pu, pv = tr.points[u], tr.points[v]
     m = tr.add_point((0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])))
-    owners = sorted(tr.edge_tris[key])
     suspect = []
-    for tid in owners:
+    for tid in tr._owners(key):
         verts = tr.tri_v[tid]
         w = next(x for x in verts if x not in key)
         # the edge as oriented within this CCW triangle
@@ -533,48 +536,47 @@ def refine(tr, h=None, node_cap=200000):
     those not constrained yet get source 0, the outer polyline of
     `build_mesh`. A triangle is split when its minimum angle falls below
     `THETA_MIN` degrees or, when `h` is given, its longest edge exceeds `h`.
-    A pass queues the bad, unstalled triangles in id order, then those its
-    splits create; passes repeat while they progress. Raises
-    RefinementBudgetExceeded when the node cap is hit first.
+    A pass queues every triangle in id order, then those its splits create,
+    and skips the good and the stalled ones as it pops them (badness
+    depends only on a triangle's vertices); passes repeat while they
+    progress. Raises RefinementBudgetExceeded when the node cap is hit
+    first.
     """
-    for key, owners in tr.edge_tris.items():
-        if len(owners) == 1:
-            tr.constrained.setdefault(key, 0)
+    for u, v in tr.tri_at:
+        if (v, u) not in tr.tri_at:
+            tr.constrained.setdefault(_edge_key(u, v), 0)
 
     work = deque()
     for key in sorted(tr.constrained):
-        if key in tr.edge_tris and _segment_encroached(tr, key):
+        if _segment_encroached(tr, key):
             _split_segment(tr, key, work, node_cap)
-
-    def is_bad(tid):
-        min_angle, longest = _tri_geometry(tr, tid)
-        if min_angle < THETA_MIN * (1.0 - 1e-12):
-            return True
-        return h is not None and longest > h * (1.0 + 1e-12)
 
     stalled = set()
     seg_cache = _SegmentCache(tr)
     progressed = True
     while progressed:
-        work.extend(tid for tid in tr.triangle_ids()
-                    if tid not in stalled and is_bad(tid))
+        work.extend(tr.triangle_ids())
         progressed = False
         while work:
             tid = work.popleft()
-            if tid not in tr.tri_v or tid in stalled or not is_bad(tid):
+            if tid not in tr.tri_v or tid in stalled:
+                continue
+            min_angle, longest = _tri_geometry(tr, tid)
+            if min_angle >= THETA_MIN * (1.0 - 1e-12) and (
+                    h is None or longest <= h * (1.0 + 1e-12)):
                 continue
             if len(tr.points) >= node_cap:
                 raise RefinementBudgetExceeded(f"node cap {node_cap} reached")
             a, b, c = tr.tri_v[tid]
             center = _circumcenter(tr.points[a], tr.points[b], tr.points[c])
-            encroached = seg_cache.encroached(center)
-            if encroached:
-                _split_segment(tr, encroached[0], work, node_cap)
+            key = seg_cache.encroached(center)
+            if key is not None:
+                _split_segment(tr, key, work, node_cap)
                 work.append(tid)
                 progressed = True
                 continue
             seed = tr.locate(center)
-            if seed is None or _too_close(tr, center, tid):
+            if seed is None or _too_close(tr, center, tid, longest):
                 stalled.add(tid)
                 continue
             m = tr.add_point(center)
@@ -584,48 +586,32 @@ def refine(tr, h=None, node_cap=200000):
 
 
 class _SegmentCache:
-    """Vectorized diametral-circle tests over the constrained segment set.
+    """`_encroaches` over every constrained segment at once.
 
-    A point p encroaches segment (u, v) iff |p - mid|^2 < |v - u|^2 / 4.
-    The cache is rebuilt whenever the constraint count changes (splits only
-    ever grow the set).
+    The sorted keys and their end point arrays are rebuilt whenever the
+    constraint count changes (splits only ever grow the set).
     """
 
     def __init__(self, tr):
         self.tr = tr
         self._count = -1
-        self._rebuild()
-
-    def _rebuild(self):
-        tr = self.tr
-        keys = sorted(k for k in tr.constrained if k in tr.edge_tris)
-        pts = tr.point_array()
-        self.keys = keys
-        if keys:
-            seg = np.asarray(keys, dtype=int)
-            pu = pts[seg[:, 0]]
-            pv = pts[seg[:, 1]]
-            self.mid = 0.5 * (pu + pv)
-            self.quarter_len2 = 0.25 * np.sum((pv - pu) ** 2, axis=1)
-        self._count = len(tr.constrained)
 
     def encroached(self, p):
-        if self._count != len(self.tr.constrained):
-            self._rebuild()
-        if not self.keys:
-            return []
-        d2 = (self.mid[:, 0] - p[0]) ** 2 + (self.mid[:, 1] - p[1]) ** 2
-        hits = np.flatnonzero(d2 < self.quarter_len2 - 1e-14)
-        return [self.keys[i] for i in hits]
+        """The lowest constrained key that p encroaches, or None."""
+        tr = self.tr
+        if self._count != len(tr.constrained):
+            self.keys = sorted(k for k in tr.constrained if tr.has_edge(*k))
+            ends = np.array([(tr.points[u], tr.points[v]) for u, v in self.keys],
+                            dtype=float).reshape(-1, 2, 2)
+            self.u, self.v = ends[:, 0].T, ends[:, 1].T
+            self._count = len(tr.constrained)
+        hits = np.flatnonzero(_encroaches(p, self.u, self.v))
+        return self.keys[hits[0]] if len(hits) else None
 
 
-def _too_close(tr, p, tid, rel=1e-7):
-    a, b, c = tr.tri_v[tid]
-    _, longest = _tri_geometry(tr, tid)
-    for w in (a, b, c):
-        if math.dist(p, tr.points[w]) < rel * longest:
-            return True
-    return False
+def _too_close(tr, p, tid, longest):
+    """p lies within 1e-7 `longest` of a vertex of triangle `tid`."""
+    return any(math.dist(p, tr.points[w]) < 1e-7 * longest for w in tr.tri_v[tid])
 
 
 # -- geometry specification --------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, fim, mesh_io, oed, shape
-from .config import Config, config_hash, tensor_hash
+from .config import Config, check_sensitivity_size, config_hash, tensor_hash
 from .errors import CacheMismatch, ConfigError
 from .mesh import build_mesh
 from .mesh_io import _fmt
@@ -84,9 +84,13 @@ class Pipeline:
             self.mesh(), kappa_bulk=phys.kappa_bulk, kappa_inc=phys.kappa_inc))
 
     def forward(self):
-        phys = self.config.physics
-        return self._stage("forward", lambda: fem.solve_forward(
-            self.heat_operators(), horizon=phys.horizon, n_steps=phys.n_steps))
+        def build():
+            # the sensitivities pull this stage in first: one check guards both
+            phys = self.config.physics
+            check_sensitivity_size(self.config, len(self.mesh().nodes))
+            return fem.solve_forward(self.heat_operators(), horizon=phys.horizon,
+                                     n_steps=phys.n_steps)
+        return self._stage("forward", build)
 
     def curve(self):
         return self._stage("interface", lambda: shape.interface_from_mesh(self.mesh()))

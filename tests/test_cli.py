@@ -446,18 +446,33 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert f"$.geometry: inclusion polygon has {reason}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("overrides, path", [
+    @pytest.mark.parametrize("overrides, command, path", [
         # 2/h^2 = 80,000 nodes at least, against a cap of 5,000
-        ({"geometry.h": 0.005, "geometry.node_cap": 5000}, "$.geometry.h"),
+        ({"geometry.h": 0.005, "geometry.node_cap": 5000}, "generate-mesh", "$.geometry.h"),
         # 8 bytes x 4 fields x 10^6 steps x 200 nodes at least: 6.4 GB
-        ({"physics.n_steps": 10 ** 6}, "$.physics.n_steps"),
-    ], ids=["h-against-node-cap", "n-steps"])
-    def test_size_that_cannot_finish_exit_code(self, tmp_path, capsys, overrides, path):
+        ({"physics.n_steps": 10 ** 6}, "generate-mesh", "$.physics.n_steps"),
+        # loads (2/h^2 = 2 nodes: 16 MB), but the mesh has 300 nodes, so the
+        # trajectory would take 8 bytes x 1 x (10^6 + 1) x 300 = 2.24 GiB
+        ({"geometry": {"h": 1.0}, "basis": {"n_basis": 1}, "physics": {"n_steps": 10 ** 6}},
+         "solve-forward", "$.physics.n_steps"),
+    ], ids=["h-against-node-cap", "n-steps", "n-steps-on-coarse-mesh"])
+    def test_size_that_cannot_finish_exit_code(self, tmp_path, capsys, overrides, command,
+                                               path):
         cfg_path = write_config(tmp_path, **overrides)
-        code = cli.main(["generate-mesh", "--config", str(cfg_path),
+        code = cli.main([command, "--config", str(cfg_path),
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         assert path in capsys.readouterr().err
+
+    def test_spline_samples_bound_exit_code(self, tmp_path, capsys):
+        # the polygon checks build n x n arrays: 1024 samples take 8 MB each
+        cfg = config.load_config({"geometry": {"spline_samples": 1024}})
+        assert cfg.geometry.spline_samples == 1024
+        cfg_path = write_config(tmp_path, {"geometry": {"spline_samples": 1025}})
+        code = cli.main(["generate-mesh", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "$.geometry.spline_samples" in capsys.readouterr().err
 
     def test_compare_dimension_mismatch_exit_code(self, tmp_path, capsys):
         a = write_config(tmp_path, case="four")

@@ -66,6 +66,10 @@ def mesh_digest(m):
 #: sensors touching the outer box, each other (0 and 1) and the hold-all (2)
 TOUCHING_SENSORS = [(0.0, 0.0, 0.3, 0.3), (0.3, 0.0, 0.6, 0.2), (0.05, 0.35, 0.35, 0.65)]
 
+_ANGLES = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+#: an explicit inclusion polygon: 40-gon of radius 0.1 around (0.5, 0.5)
+GON40 = 0.5 + 0.1 * np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
+
 
 def shoelace(poly):
     x, y = poly[:, 0], poly[:, 1]
@@ -170,6 +174,27 @@ class TestConstraints:
 
 
 class TestRefine:
+    def test_directed_edge_map_after_refinement(self):
+        rng = np.random.default_rng(11)
+        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        ring = 0.5 + 0.3 * np.column_stack([np.cos(angles), np.sin(angles)])
+        pts = np.vstack([ring, [(0, 0), (1, 0), (1, 1), (0, 1)], rng.random((20, 2))])
+        tr = mesh.bowyer_watson(pts)
+        mesh.recover_constraints(tr, [(i, (i + 1) % 16, 0) for i in range(16)])
+        mesh.strip_super(tr)
+        mesh.refine(tr, h=0.15)
+        assert len(tr.tri_at) == 3 * len(tr.tri_v)
+        for (u, v), tid in tr.tri_at.items():
+            a, b, c = tr.tri_v[tid]
+            assert (u, v) in ((a, b), (b, c), (c, a))
+            assert mesh._orient(tr.points[a], tr.points[b], tr.points[c]) > 0.0
+            twin = tr.tri_at.get((v, u))
+            if twin is None:
+                assert (min(u, v), max(u, v)) in tr.constrained
+            else:
+                assert twin != tid
+                assert tr._neighbor(u, v) == twin
+
     def test_fine_mesh_is_fixpoint(self):
         angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         pts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
@@ -432,11 +457,18 @@ class TestMeshStress:
          "7202f9d49cc4929c15f21eeda6083cee42615b3974eec153cab9cb007dac904d"),
         ({"sensors": TOUCHING_SENSORS, "h": 0.05}, 1239,
          "2963fc490b28cd132ac670982d614b9ff3d62f7621e3f9f5c8e8d96dd6aba83a"),
-    ], ids=["case1-robin", "dirichlet-all", "touching-sensors"])
+        ({"inclusion_polygon": GON40, "h": 0.05}, 1110,
+         "a77b3ace297f25346d9b8a9f21f8a50ee38a46d3edc189a0e653296661063693"),
+        ({"spline_control": None, "sensors": [], "h": 0.1}, 302,
+         "8e82079593763c4a6e11e5dfbf842c4f3bf1137df519e86165644aa68c5c1508"),
+    ], ids=["case1-robin", "dirichlet-all", "touching-sensors", "polygon-40gon",
+            "no-inclusion-no-sensors"])
     def test_precedence_layout_mesh_bytes_pinned(self, layout, n_nodes, digest):
         # edges that several input polylines share: the tag must follow the
-        # order outer, hold-all, sensor k (lowest k first)
-        spec = mesh.GeometrySpec(spline_control=mesh.DEFAULT_INCLUSION_CONTROL, **layout)
+        # order outer, hold-all, sensor k (lowest k first); the last two rows
+        # pin an explicit polygon and criterion 10's plain square
+        spec = mesh.GeometrySpec(**{"spline_control": mesh.DEFAULT_INCLUSION_CONTROL,
+                                    **layout})
         m = mesh.build_mesh(spec)
         assert len(m.nodes) == n_nodes
         assert mesh_digest(m) == digest
