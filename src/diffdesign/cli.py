@@ -89,8 +89,7 @@ def _run(args):
 
     if args.command == "generate-mesh":
         m = pipe.mesh()
-        mesh_io.write_vtk(m, {}, out / "mesh.vtk")
-        mesh_io.write_msh(m, out / "mesh.msh")
+        pipe.write_mesh_files(mesh_io.vtk_grid(m))
         stats = {
             "nodes": len(m.nodes),
             "triangles": len(m.triangles),
@@ -104,20 +103,16 @@ def _run(args):
 
     if args.command == "solve-forward":
         n_snapshots = len(pipe.forward().times)
-        for step in range(n_snapshots):
-            pipe.write_forward_vtk(step, out / f"forward_{step:04d}.vtk")
+        pipe.write_forward_fields(".", mesh_io.vtk_grid(pipe.mesh()))
         print(f"forward trajectory: {n_snapshots} snapshots")
         return 0
 
     if args.command == "sensitivities":
-        sens = pipe.sensitivities().values
-        basis = pipe.basis_fields().values
-        for i in range(len(sens)):
-            mesh_io.write_vtk(pipe.mesh(), {"velocity": basis[i]},
-                              out / f"basis_{i:02d}.vtk")
-            mesh_io.write_vtk(pipe.mesh(), {"du": sens[i, -1]},
-                              out / f"sensitivity_{i:02d}_final.vtk")
-        print(f"{len(sens)} sensitivity trajectories")
+        n_basis = len(pipe.sensitivities().values)
+        grid = mesh_io.vtk_grid(pipe.mesh())
+        pipe.write_basis_fields(".", grid)
+        pipe.write_sensitivity_fields(".", grid)
+        print(f"{n_basis} sensitivity trajectories")
         return 0
 
     if args.command == "assemble-fim":

@@ -589,7 +589,9 @@ class _SegmentCache:
     """`_encroaches` over every constrained segment at once.
 
     The sorted keys and their end point arrays are rebuilt whenever the
-    constraint count changes (splits only ever grow the set).
+    constraint count changes (splits only ever grow the set). Every key is
+    an edge: recovery records only edges, a split creates both halves, and
+    flips and insertion cavities never remove a constrained edge.
     """
 
     def __init__(self, tr):
@@ -600,10 +602,10 @@ class _SegmentCache:
         """The lowest constrained key that p encroaches, or None."""
         tr = self.tr
         if self._count != len(tr.constrained):
-            self.keys = sorted(k for k in tr.constrained if tr.has_edge(*k))
-            ends = np.array([(tr.points[u], tr.points[v]) for u, v in self.keys],
-                            dtype=float).reshape(-1, 2, 2)
-            self.u, self.v = ends[:, 0].T, ends[:, 1].T
+            self.keys = sorted(tr.constrained)
+            ends = np.array([tr.points[u] + tr.points[v] for u, v in self.keys],
+                            dtype=float).reshape(-1, 4)
+            self.u, self.v = ends[:, :2].T, ends[:, 2:].T
             self._count = len(tr.constrained)
         hits = np.flatnonzero(_encroaches(p, self.u, self.v))
         return self.keys[hits[0]] if len(hits) else None

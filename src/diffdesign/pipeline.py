@@ -171,19 +171,36 @@ class Pipeline:
         path.parent.mkdir(parents=True, exist_ok=True)
         writer(path)
         self.report.outputs.append(str(rel_path))
-        return path
 
-    def write_forward_vtk(self, step, path):
-        """Write snapshot `step` of the forward trajectory, titled with its time."""
+    def write_mesh_files(self, grid):
+        """Write mesh.vtk (the grid alone) and mesh.msh."""
+        self._write("mesh.vtk", lambda p: mesh_io.write_vtk(grid, {}, p))
+        self._write("mesh.msh", lambda p: mesh_io.write_msh(self.mesh(), p))
+
+    def write_forward_fields(self, directory, grid):
+        """Write one VTK file per forward snapshot, titled with its time, under
+        `directory` (relative to the output directory)."""
         forward = self.forward()
-        mesh_io.write_vtk(self.mesh(), {"u": forward.values[step]}, path,
-                          title=f"t={_fmt(forward.times[step])}")
+        for step, (t, u) in enumerate(zip(forward.times, forward.values)):
+            self._write(Path(directory) / f"forward_{step:04d}.vtk",
+                        lambda p: mesh_io.write_vtk(grid, {"u": u}, p, title=f"t={_fmt(t)}"))
+
+    def write_basis_fields(self, directory, grid):
+        """Write one VTK file per extended basis velocity field under `directory`."""
+        for i, v in enumerate(self.basis_fields().values):
+            self._write(Path(directory) / f"basis_{i:02d}.vtk",
+                        lambda p: mesh_io.write_vtk(grid, {"velocity": v}, p))
+
+    def write_sensitivity_fields(self, directory, grid):
+        """Write the final-time sensitivity of each basis field under `directory`."""
+        for i, du in enumerate(self.sensitivities().values[:, -1]):
+            self._write(Path(directory) / f"sensitivity_{i:02d}_final.vtk",
+                        lambda p: mesh_io.write_vtk(grid, {"du": du}, p))
 
     def write_outputs(self):
-        m = self.mesh()
         result = self.result()
-        self._write("mesh.vtk", lambda p: mesh_io.write_vtk(m, {}, p))
-        self._write("mesh.msh", lambda p: mesh_io.write_msh(m, p))
+        grid = mesh_io.vtk_grid(self.mesh())
+        self.write_mesh_files(grid)
         self._write("weights.csv", lambda p: _write_weights_csv(p, result))
         self._write("eigenvalues.csv", lambda p: _write_eigenvalues_csv(p, result))
         self._write("history.csv", lambda p: _write_history_csv(p, result))
@@ -191,22 +208,15 @@ class Pipeline:
         self._write("report.json", lambda p: _write_report_json(
             p, self.config, self.report, result))
         if self.config.write_fields:
-            for step in range(len(self.forward().times)):
-                self._write(f"fields/forward_{step:04d}.vtk",
-                            lambda p, s=step: self.write_forward_vtk(s, p))
-            basis = self.basis_fields()
-            for i, v in enumerate(basis.values):
-                self._write(f"fields/basis_{i:02d}.vtk",
-                            lambda p, v=v: mesh_io.write_vtk(
-                                m, {"velocity": v}, p))
+            self.write_forward_fields("fields", grid)
+            self.write_basis_fields("fields", grid)
             # eigen-fields: basis combinations by descending eigenvalue
+            basis = self.basis_fields().values
             order = np.argsort(result.eigenvalues)[::-1]
             for rank, idx in enumerate(order):
-                coeff = result.eigenvectors[:, idx]
-                values = np.tensordot(coeff, basis.values, axes=1)
+                values = np.tensordot(result.eigenvectors[:, idx], basis, axes=1)
                 self._write(f"fields/eigenfield_{rank:02d}.vtk",
-                            lambda p, v=values: mesh_io.write_vtk(
-                                m, {"velocity": v}, p))
+                            lambda p: mesh_io.write_vtk(grid, {"velocity": values}, p))
 
     def run(self) -> RunReport:
         self.result()

@@ -238,6 +238,17 @@ class TestPipeline:
                      "oed_result.json", "report.json", "mesh.vtk", "mesh.msh"):
             assert (out / name).read_bytes() == (other / name).read_bytes(), name
 
+    def test_deterministic_field_files(self, tmp_path):
+        cfg = config.load_config({**FAST_CONFIG, "output": {"write_fields": True}})
+        for run in ("a", "b"):
+            pipeline.run_pipeline(cfg, tmp_path / run, log=False)
+        fields = sorted(p.name for p in (tmp_path / "a" / "fields").glob("*.vtk"))
+        assert fields == sorted(p.name for p in (tmp_path / "b" / "fields").glob("*.vtk"))
+        assert len(fields) == cfg.physics.n_steps + 1 + 2 * cfg.basis.n_basis
+        for name in fields:
+            first = (tmp_path / "a" / "fields" / name).read_bytes()
+            assert first == (tmp_path / "b" / "fields" / name).read_bytes(), name
+
     def test_report_has_no_volatile_fields(self, fast_run):
         out, _, _ = fast_run
         payload = json.loads((out / "report.json").read_text())
@@ -510,3 +521,18 @@ class TestCli:
         assert len(snapshots) == FAST_CONFIG["physics"]["n_steps"] + 1
         for path in snapshots:
             assert path.read_bytes() == (tmp_path / "pipe" / "fields" / path.name).read_bytes()
+
+    def test_mesh_and_basis_files_match_pipeline(self, tmp_path):
+        payload = {**FAST_CONFIG, "output": {"write_fields": True}}
+        cfg_path = write_config(tmp_path, payload)
+        for command in ("generate-mesh", "sensitivities"):
+            assert cli.main([command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / command)]) == 0
+        pipe = tmp_path / "pipe"
+        pipeline.run_pipeline(config.load_config(payload), pipe, log=False)
+        for name in ("mesh.vtk", "mesh.msh"):
+            assert (tmp_path / "generate-mesh" / name).read_bytes() == (pipe / name).read_bytes()
+        basis = sorted((tmp_path / "sensitivities").glob("basis_*.vtk"))
+        assert len(basis) == FAST_CONFIG["basis"]["n_basis"]
+        for path in basis:
+            assert path.read_bytes() == (pipe / "fields" / path.name).read_bytes()

@@ -184,6 +184,8 @@ class TestRefine:
         mesh.strip_super(tr)
         mesh.refine(tr, h=0.15)
         assert len(tr.tri_at) == 3 * len(tr.tri_v)
+        # the segment cache relies on every constrained key being an edge
+        assert all(tr.has_edge(u, v) for u, v in tr.constrained)
         for (u, v), tid in tr.tri_at.items():
             a, b, c = tr.tri_v[tid]
             assert (u, v) in ((a, b), (b, c), (c, a))
