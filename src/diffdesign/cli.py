@@ -21,11 +21,14 @@ EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
 
 
-def _add_common(parser):
-    parser.add_argument("--config", required=True, help="JSON configuration file")
+def _add_outputs(parser):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--stage-cache", default=None,
                         help="directory for the FIM tensor cache")
+
+
+def _cache_dir(args):
+    return args.stage_cache if args.stage_cache else Path(args.out) / "cache"
 
 
 def build_parser():
@@ -44,24 +47,17 @@ def build_parser():
         ("pipeline", "run every stage and write all outputs"),
     ]:
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="JSON configuration file")
+        _add_outputs(p)
 
     p = sub.add_parser("compare", help="run several cases and tabulate the criteria")
     p.add_argument("configs", nargs="+", help="case configuration files")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--stage-cache", default=None,
-                   help="directory for the FIM tensor cache")
+    _add_outputs(p)
 
     p = sub.add_parser("make-configs",
                        help="write the five comparison case configurations")
     p.add_argument("--out", default="out", help="output directory")
     return parser
-
-
-def _pipeline_for(args):
-    config = load_config(args.config)
-    cache = args.stage_cache if args.stage_cache else Path(args.out) / "cache"
-    return Pipeline(config, args.out, cache_dir=cache)
 
 
 def _run(args):
@@ -76,14 +72,13 @@ def _run(args):
 
     if args.command == "compare":
         configs = [load_config(path) for path in args.configs]
-        cache = args.stage_cache if args.stage_cache else Path(args.out) / "cache"
-        rows = compare_cases(configs, args.out, cache_dir=cache)
+        rows = compare_cases(configs, args.out, cache_dir=_cache_dir(args))
         for case, phi, recip in rows:
             print(f"{case}: phi = {phi:.6e}")
         print(f"table written to {Path(args.out) / 'compare.csv'}")
         return 0
 
-    pipe = _pipeline_for(args)
+    pipe = Pipeline(load_config(args.config), args.out, cache_dir=_cache_dir(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -94,7 +89,9 @@ def _run(args):
             "nodes": len(m.nodes),
             "triangles": len(m.triangles),
             "inclusion_area": float(m.areas()[m.regions == 1].sum()),
-            "sensors": {k: int(len(v)) for k, v in sorted(m.patches.items())},
+            "sensors": {"holdall": len(m.holdall_annulus),
+                        "holdall-closure": len(m.holdall_closure),
+                        **{f"sensor:{k}": len(e) for k, e in enumerate(m.sensor_elements)}},
         }
         (out / "mesh_stats.json").write_text(
             json.dumps(stats, indent=2, sort_keys=True) + "\n")

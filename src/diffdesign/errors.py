@@ -29,10 +29,6 @@ class RefinementBudgetExceeded(DiffDesignError):
     """Mesh refinement hit the node cap before meeting quality targets."""
 
 
-class UnknownTag(DiffDesignError):
-    """Requested mesh tag does not exist."""
-
-
 class MissingTag(DiffDesignError):
     """Mesh lacks a tag required by an assembly routine."""
 

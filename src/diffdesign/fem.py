@@ -104,7 +104,7 @@ def assemble_heat(mesh: Mesh, kappa_bulk=KAPPA_BULK_DEFAULT,
     else:
         robin = sp.csr_matrix((n, n))
 
-    dirichlet = mesh.dirichlet_nodes()
+    dirichlet = np.unique(mesh.seg_nodes[mesh.seg_kind == "dirichlet"])
     if len(dirichlet) == 0:
         raise MissingTag("mesh has no dirichlet segments")
     return HeatOperators(mesh=mesh, mass=mass, stiffness=stiffness, robin=robin,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CacheMismatch, DimensionMismatch, InstantOutOfRange
-from .mesh import Mesh, Patch, extract_patch, p1_gradients, p1_stiffness
+from .errors import CacheMismatch, DimensionMismatch, InstantOutOfRange, MissingTag
+from .mesh import Mesh, p1_gradients, p1_stiffness
 
 ALPHA0_DEFAULT = 0.01
 ALPHA1_DEFAULT = 1.0
@@ -35,7 +35,8 @@ ALPHA1_DEFAULT = 1.0
 class SensorModel:
     """Discrete noise operator of one measurement patch."""
 
-    patch: Patch
+    elements: np.ndarray         # the sensor's mesh elements
+    nodes: np.ndarray            # their global node ids, ascending; local id = position
     alpha0: float
     alpha1: float
     stiffness: sp.csr_matrix     # patch Laplacian, natural BCs, local numbering
@@ -46,28 +47,33 @@ def build_sensor_model(mesh: Mesh, sensor_id: int,
                        alpha0=ALPHA0_DEFAULT, alpha1=ALPHA1_DEFAULT) -> SensorModel:
     if alpha0 <= 0.0 or alpha1 <= 0.0:
         raise ValueError("covariance parameters must be positive")
-    patch = extract_patch(mesh, f"sensor:{sensor_id}")
-    tris = patch.local_triangles()
-    g, area = p1_gradients(mesh.nodes[patch.nodes], tris)
-    n = len(patch.nodes)
+    elements = mesh.sensor_elements[sensor_id]
+    if len(elements) == 0:
+        raise MissingTag(f"sensor {sensor_id} covers no mesh element")
+    global_tris = mesh.triangles[elements]
+    nodes = np.unique(global_tris)
+    tris = np.searchsorted(nodes, global_tris)
+    g, area = p1_gradients(mesh.nodes[nodes], tris)
+    n = len(nodes)
     stiffness = p1_stiffness(tris, g, area, n)
     lumped = np.zeros(n)
     np.add.at(lumped, tris.ravel(), np.repeat(area / 3.0, 3))
-    return SensorModel(patch=patch, alpha0=alpha0, alpha1=alpha1,
+    return SensorModel(elements=elements, nodes=nodes, alpha0=alpha0, alpha1=alpha1,
                        stiffness=stiffness, lumped_mass=lumped)
 
 
 def build_sensor_models(mesh: Mesh, alpha0=ALPHA0_DEFAULT,
                         alpha1=ALPHA1_DEFAULT):
-    return [build_sensor_model(mesh, k, alpha0, alpha1) for k in mesh.sensor_ids()]
+    return [build_sensor_model(mesh, k, alpha0, alpha1)
+            for k in range(len(mesh.sensor_elements))]
 
 
-def apply_precision_root(sensor: SensorModel, local_field):
+def apply_precision_root(model: SensorModel, local_field):
     """Apply the discrete covariance-root inverse: M^-1 (a0 K + a1 M) f, to
     one patch-local field or to a block with one field per column."""
-    mass = sensor.lumped_mass if np.ndim(local_field) == 1 else sensor.lumped_mass[:, None]
-    out = sensor.alpha0 * (sensor.stiffness @ local_field) \
-        + sensor.alpha1 * (mass * local_field)
+    mass = model.lumped_mass if np.ndim(local_field) == 1 else model.lumped_mass[:, None]
+    out = model.alpha0 * (model.stiffness @ local_field) \
+        + model.alpha1 * (mass * local_field)
     return out / mass
 
 
@@ -117,7 +123,7 @@ def elementary_fims(sensitivities, sensors, instants, gramian) -> FimTensor:
     for k, sensor in enumerate(sensors):
         sqrt_mass = np.sqrt(sensor.lumped_mass)[:, None]
         for li, step in enumerate(instants):
-            local = sensitivities.values[:, step, sensor.patch.nodes].T
+            local = sensitivities.values[:, step, sensor.nodes].T
             whitened = apply_precision_root(sensor, local) * sqrt_mass
             upper = np.triu(whitened.T @ whitened)
             mats[k, li] = upper + np.triu(upper, 1).T

@@ -16,10 +16,12 @@ triangle, and each predicate (orientation, proper crossing, diametral-circle
 encroachment) has one function, taking points or coordinate arrays.
 
 Tagged entities:
-  triangle regions  -> bulk / inclusion (centroid-in-polygon test)
-  boundary segments -> dirichlet, robin (with per-segment beta), holdall,
-                       sensor(id), interface
-  element patches   -> per-sensor lists, hold-all annulus, hold-all closure
+  triangle regions  -> `regions`: bulk / inclusion (centroid-in-polygon test)
+  boundary segments -> `seg_kind`: dirichlet, robin (`seg_beta`, span index in
+                       `seg_ref`), holdall, sensor (box index in `seg_ref`),
+                       interface; consumers select them with a `seg_kind` mask
+  element sets      -> `sensor_elements` (one per sensor box, in box order),
+                       `holdall_annulus`, `holdall_closure` (centroid-in-box)
 """
 
 from __future__ import annotations
@@ -31,12 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    ConstraintCrossing,
-    DegenerateInput,
-    RefinementBudgetExceeded,
-    UnknownTag,
-)
+from .errors import ConstraintCrossing, DegenerateInput, RefinementBudgetExceeded
 
 _MERGE_TOL = 1e-12
 _ON_TOL = 1e-9
@@ -811,9 +808,16 @@ def p1_stiffness(triangles, g, coeff, n):
     return assemble_p1(triangles, np.einsum("e,eia,eja->eij", coeff, g, g), n)
 
 
+def _no_elements():
+    return np.empty(0, dtype=int)
+
+
 @dataclass
 class Mesh:
-    """Conforming triangulation with region, boundary, and patch tags."""
+    """Conforming triangulation with region, boundary and element-set tags.
+
+    Each element set is an ascending array of triangle ids.
+    """
 
     nodes: np.ndarray
     triangles: np.ndarray
@@ -822,38 +826,14 @@ class Mesh:
     seg_kind: np.ndarray                     # unicode kind per segment
     seg_ref: np.ndarray                      # sensor id / robin span index / -1
     seg_beta: np.ndarray                     # beta per robin segment, else 0
-    patches: dict = field(default_factory=dict)  # name -> element id array
+    sensor_elements: list = field(default_factory=list)  # one per sensor box
+    holdall_annulus: np.ndarray = field(default_factory=_no_elements)
+    holdall_closure: np.ndarray = field(default_factory=_no_elements)
 
     def areas(self):
         """Signed triangle areas, positive for counter-clockwise triangles."""
         p = self.nodes[self.triangles]
         return 0.5 * _orient(p[:, 0].T, p[:, 1].T, p[:, 2].T)
-
-    def segments_of_kind(self, kind):
-        mask = self.seg_kind == kind
-        return self.seg_nodes[mask], self.seg_ref[mask], self.seg_beta[mask]
-
-    def dirichlet_nodes(self):
-        segs, _, _ = self.segments_of_kind("dirichlet")
-        return np.unique(segs)
-
-    def sensor_ids(self):
-        return sorted(int(k.split(":", 1)[1]) for k in self.patches if k.startswith("sensor:"))
-
-
-@dataclass
-class Patch:
-    """Subset of mesh elements with a local node numbering."""
-
-    mesh: Mesh
-    elements: np.ndarray
-    nodes: np.ndarray        # global node ids, ascending; local id = position
-
-    def local_triangles(self):
-        tris = self.mesh.triangles[self.elements]
-        lookup = np.full(len(self.mesh.nodes), -1, dtype=int)
-        lookup[self.nodes] = np.arange(len(self.nodes))
-        return lookup[tris]
 
 
 def _subdivide_polyline(points, h):
@@ -887,17 +867,17 @@ def build_mesh(spec: GeometrySpec) -> Mesh:
     spec.validate()
     h = spec.h
     # a segment's source is its polyline's index here; shared edges keep the lowest
-    polylines = [(_box_polyline((0.0, 0.0, 1.0, 1.0)), "outer")]
-    polylines.append((_box_polyline(spec.holdall), "holdall"))
+    polylines = [(_box_polyline((0.0, 0.0, 1.0, 1.0)), "outer", -1)]
+    polylines.append((_box_polyline(spec.holdall), "holdall", -1))
     for k, box in enumerate(spec.sensors):
-        polylines.append((_box_polyline(box), f"sensor:{k}"))
+        polylines.append((_box_polyline(box), "sensor", k))
     poly = spec.polygon()
     if poly is not None:
-        polylines.append(([tuple(p) for p in poly], "interface"))
+        polylines.append(([tuple(p) for p in poly], "interface", -1))
 
     all_points = []
     all_segments = []
-    for source, (pts, _label) in enumerate(polylines):
+    for source, (pts, _kind, _ref) in enumerate(polylines):
         base = len(all_points)
         sub_pts, sub_segs = _subdivide_polyline(pts, h)
         all_points.extend(sub_pts)
@@ -911,7 +891,7 @@ def build_mesh(spec: GeometrySpec) -> Mesh:
     recover_constraints(tr, all_segments)
     strip_super(tr)
     refine(tr, h=h, node_cap=spec.node_cap)
-    return _tag_mesh(tr, spec, poly, [label for _pts, label in polylines])
+    return _tag_mesh(tr, spec, poly, [(kind, ref) for _pts, kind, ref in polylines])
 
 
 def _side_point(side, val):
@@ -940,7 +920,7 @@ def _side_coord(side, mid):
     raise ValueError(side)
 
 
-def _tag_mesh(tr, spec, poly, labels):
+def _tag_mesh(tr, spec, poly, tags):
     nodes = tr.point_array()
     tri_ids = tr.triangle_ids()
     triangles = np.array([tr.tri_v[t] for t in tri_ids], dtype=int)
@@ -961,13 +941,14 @@ def _tag_mesh(tr, spec, poly, labels):
     seg_nodes, seg_kind, seg_ref, seg_beta = [], [], [], []
     for key, source in sorted(tr.constrained.items()):
         u, v = (int(new_index[key[0]]), int(new_index[key[1]]))
-        kind, ref, beta = _classify_edge(0.5 * (nodes[u] + nodes[v]), labels[source], spec)
+        kind, ref, beta = _classify_edge(0.5 * (nodes[u] + nodes[v]), *tags[source], spec)
         seg_nodes.append((u, v))
         seg_kind.append(kind)
         seg_ref.append(ref)
         seg_beta.append(beta)
 
-    mesh = Mesh(
+    in_holdall = _centroids_in_box(centroids, spec.holdall)
+    return Mesh(
         nodes=nodes,
         triangles=triangles,
         regions=regions,
@@ -975,17 +956,19 @@ def _tag_mesh(tr, spec, poly, labels):
         seg_kind=np.asarray(seg_kind, dtype="U9"),
         seg_ref=np.asarray(seg_ref, dtype=int),
         seg_beta=np.asarray(seg_beta, dtype=float),
+        sensor_elements=[np.flatnonzero(_centroids_in_box(centroids, box))
+                         for box in spec.sensors],
+        holdall_annulus=np.flatnonzero(in_holdall & (regions == 0)),
+        holdall_closure=np.flatnonzero(in_holdall),
     )
-    _build_patches(mesh, spec, centroids)
-    return mesh
 
 
-def _classify_edge(mid, label, spec):
-    """(kind, ref, beta) of a constrained edge from its source's label; an
-    outer edge's midpoint places it on the Dirichlet side or a Robin span."""
-    if label != "outer":
-        kind, _, ref = label.partition(":")
-        return kind, int(ref or -1), 0.0
+def _classify_edge(mid, kind, ref, spec):
+    """(kind, ref, beta) of a constrained edge from its source polyline's
+    (kind, ref); an outer edge's midpoint places it on the Dirichlet side or
+    a Robin span."""
+    if kind != "outer":
+        return kind, ref, 0.0
     if spec.dirichlet_side == "all" or _side_coord(spec.dirichlet_side, mid)[0]:
         return "dirichlet", -1, 0.0
     for i, span in enumerate(spec.robin_spans):
@@ -995,28 +978,8 @@ def _classify_edge(mid, label, spec):
     return "robin", -1, 0.0
 
 
-def _build_patches(mesh, spec, centroids):
-    x0, y0, x1, y1 = spec.holdall
-    in_holdall = ((centroids[:, 0] > x0) & (centroids[:, 0] < x1)
-                  & (centroids[:, 1] > y0) & (centroids[:, 1] < y1))
-    closure = np.flatnonzero(in_holdall)
-    annulus = np.flatnonzero(in_holdall & (mesh.regions == 0))
-    mesh.patches["holdall"] = annulus
-    mesh.patches["holdall-closure"] = closure
-    for k, box in enumerate(spec.sensors):
-        bx0, by0, bx1, by1 = box
-        mask = ((centroids[:, 0] > bx0) & (centroids[:, 0] < bx1)
-                & (centroids[:, 1] > by0) & (centroids[:, 1] < by1))
-        mesh.patches[f"sensor:{k}"] = np.flatnonzero(mask)
-
-
-def extract_patch(mesh: Mesh, tag: str) -> Patch:
-    """Patch for a named element set: holdall, holdall-closure, or
-    sensor:<id>."""
-    if tag not in mesh.patches:
-        raise UnknownTag(f"no patch tagged {tag!r}")
-    elements = mesh.patches[tag]
-    if len(elements) == 0:
-        raise UnknownTag(f"patch {tag!r} is empty")
-    nodes = np.unique(mesh.triangles[elements])
-    return Patch(mesh=mesh, elements=np.asarray(elements, dtype=int), nodes=nodes)
+def _centroids_in_box(centroids, box):
+    """True where a centroid lies in the open box (x0, y0, x1, y1)."""
+    x0, y0, x1, y1 = box
+    return ((centroids[:, 0] > x0) & (centroids[:, 0] < x1)
+            & (centroids[:, 1] > y0) & (centroids[:, 1] < y1))

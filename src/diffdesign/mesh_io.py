@@ -57,10 +57,9 @@ def _line_physical(kind, ref):
 def write_msh(mesh: Mesh, path):
     """Write the mesh in Gmsh MSH 2.2 ASCII format."""
     tri_phys = np.full(len(mesh.triangles), _TRI_BULK)
-    tri_phys[mesh.patches.get("holdall", np.empty(0, dtype=int))] = _TRI_ANNULUS
-    for name, elems in mesh.patches.items():
-        if name.startswith("sensor:"):
-            tri_phys[elems] = _TRI_SENSOR_BASE + int(name.split(":", 1)[1])
+    tri_phys[mesh.holdall_annulus] = _TRI_ANNULUS
+    for k, elems in enumerate(mesh.sensor_elements):
+        tri_phys[elems] = _TRI_SENSOR_BASE + k
     tri_phys[mesh.regions == 1] = _TRI_INCLUSION
 
     lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(mesh.nodes))]

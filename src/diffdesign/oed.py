@@ -254,11 +254,12 @@ def torsney_master(gen_reduced, gamma, tol, max_iter):
     return gamma, False
 
 
-def _result(problem: ReducedProblem, design: Design, w, phi_history,
+def _result(problem: ReducedProblem, design: Design, certificate, w, phi_history,
             dw_history=(), converged=False, n_outer=0, n_vertices=0) -> OEDResult:
-    """Certify `design` and run the eigen-analysis of the information matrix
-    at the weights `w`; phi is the last entry of `phi_history`."""
-    xi, violations = problem.residual(design.weights, design.budget)
+    """Attach `certificate`, the (xi, violations) `problem.residual` gave for
+    `design`, and run the eigen-analysis of the information matrix at the
+    weights `w`; phi is the last entry of `phi_history`."""
+    xi, violations = certificate
     eig = generalized_eig(combine(w, problem.tensor), problem.tensor.gramian)
     return OEDResult(
         design=design, phi=phi_history[-1],
@@ -273,7 +274,9 @@ def _result(problem: ReducedProblem, design: Design, w, phi_history,
 def evaluate_design(design: Design, tensor: FimTensor) -> OEDResult:
     """Non-optimized evaluation (criterion, residuals, eigenpairs) of a design."""
     problem = ReducedProblem(tensor)
-    return _result(problem, design, design.weights, [problem.phi(design.weights)])
+    certificate = problem.residual(design.weights, design.budget)
+    return _result(problem, design, certificate, design.weights,
+                   [problem.phi(design.weights)])
 
 
 def simplicial_decomposition(tensor: FimTensor, budget,
@@ -361,8 +364,8 @@ def simplicial_decomposition(tensor: FimTensor, budget,
         raise MaxIterations(f"no certificate after {MAX_OUTER_DEFAULT} outer iterations")
 
     # the eigen-analysis sees the unclipped weights
-    return _result(problem, design, w, phi_history, dw_history, converged,
-                   n_outer, int(np.sum(is_vertex)))
+    return _result(problem, design, (xi, violations), w, phi_history, dw_history,
+                   converged, n_outer, int(np.sum(is_vertex)))
 
 
 def solve_spatial(tensor: FimTensor, budget, **kwargs) -> OEDResult:

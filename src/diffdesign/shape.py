@@ -197,11 +197,6 @@ def farthest_point_centers(dist, n_centers, seed=0):
     return chosen
 
 
-def _holdall_boundary_nodes(mesh):
-    segs = mesh.seg_nodes[mesh.seg_kind == "holdall"]
-    return np.unique(segs)
-
-
 def _elasticity_matrix(mesh, elements, lam, mu):
     """P1 elasticity stiffness on the given elements, dofs interleaved (x,y)."""
     tris = mesh.triangles[elements]
@@ -242,12 +237,12 @@ def extend_velocity(mesh: Mesh, curve: InterfaceCurve, amplitudes,
     k = len(amplitudes)
     if k == 0:
         raise ValueError("no fields given")
-    support = mesh.patches["holdall-closure"]
+    support = mesh.holdall_closure
     values = np.zeros((k, len(mesh.nodes), 2))
     values[:, curve.vertices] = amplitudes[:, :, None] * curve.normals
 
-    fixed_nodes = np.unique(np.concatenate([curve.vertices,
-                                            _holdall_boundary_nodes(mesh)]))
+    holdall_nodes = mesh.seg_nodes[mesh.seg_kind == "holdall"].ravel()
+    fixed_nodes = np.unique(np.concatenate([curve.vertices, holdall_nodes]))
     involved = np.unique(mesh.triangles[support])
     free_nodes = np.setdiff1d(involved, fixed_nodes)
     if len(free_nodes):

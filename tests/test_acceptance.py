@@ -92,8 +92,8 @@ def test_criterion_2_material_derivative_oracle():
     [vfield] = vfields.values
     [delta] = fem.solve_sensitivity(ops, forward, vfields, tol=1e-12).values
     sensor_nodes = np.unique(np.concatenate(
-        [m.triangles[m.patches["sensor:0"]].ravel(),
-         m.triangles[m.patches["sensor:1"]].ravel()]))
+        [m.triangles[m.sensor_elements[0]].ravel(),
+         m.triangles[m.sensor_elements[1]].ravel()]))
     scale = np.abs(delta[:, sensor_nodes]).max()
     errs = {}
     for tau_fd in (1e-3, 1e-4):

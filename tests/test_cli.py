@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffdesign import cli, config, fem, fim, pipeline
+from diffdesign import cli, config, fem, fim, mesh, pipeline
 from diffdesign.errors import ConfigError
 
 from test_fim import CORRUPTIONS, corrupt, set_cache_version
@@ -345,6 +345,19 @@ class TestCli:
         assert (tmp_path / "out" / "mesh.msh").exists()
         stats = json.loads((tmp_path / "out" / "mesh_stats.json").read_text())
         assert stats["nodes"] > 100
+
+    def test_generate_mesh_counts_every_element_set(self, tmp_path):
+        cfg_path = write_config(tmp_path, {"geometry": {"h": 0.1}})
+        code = cli.main(["generate-mesh", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        stats = json.loads((tmp_path / "out" / "mesh_stats.json").read_text())
+        m = mesh.build_mesh(config.load_config(cfg_path).geometry)
+        assert len(m.sensor_elements) == 8
+        expected = {"holdall": len(m.holdall_annulus),
+                    "holdall-closure": len(m.holdall_closure)}
+        expected.update((f"sensor:{k}", len(e)) for k, e in enumerate(m.sensor_elements))
+        assert stats["sensors"] == expected
 
     def test_assemble_fim_reports_cache(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)

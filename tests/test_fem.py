@@ -325,8 +325,8 @@ class TestFdOracle:
         [delta] = fem.solve_sensitivity(ops, forward, rows(fields, slice(0, 1)),
                                         tol=1e-12).values
         sensor_nodes = np.unique(np.concatenate([
-            m.triangles[m.patches["sensor:0"]].ravel(),
-            m.triangles[m.patches["sensor:1"]].ravel(),
+            m.triangles[m.sensor_elements[0]].ravel(),
+            m.triangles[m.sensor_elements[1]].ravel(),
         ]))
         scale = np.abs(delta[:, sensor_nodes]).max()
         errs = {}
@@ -346,7 +346,7 @@ class TestFdOracle:
                                         tol=1e-12).values
         oracle = fd_material_derivative_oracle(
             m, fields.values[1], 1e-4, n_steps=8, central=True, tol=1e-13)
-        sensor_nodes = np.unique(m.triangles[m.patches["sensor:0"]])
+        sensor_nodes = np.unique(m.triangles[m.sensor_elements[0]])
         scale = np.abs(delta[:, sensor_nodes]).max()
         err = np.abs((oracle.values - delta)[:, sensor_nodes]).max()
         assert err <= 3e-2 * scale

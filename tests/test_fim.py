@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffdesign import fem, fim, mesh, numerics, shape
-from diffdesign.errors import CacheMismatch, DimensionMismatch, InstantOutOfRange
+from diffdesign.errors import CacheMismatch, DimensionMismatch, InstantOutOfRange, MissingTag
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +64,15 @@ class TestPrecisionRoot:
     def test_constant_field_scales_by_alpha1(self, problem):
         _, sensors, _, _, _ = problem
         s = sensors[0]
-        c = 3.5 * np.ones(len(s.patch.nodes))
+        c = 3.5 * np.ones(len(s.nodes))
         out = fim.apply_precision_root(s, c)
         assert np.abs(out - s.alpha1 * 3.5).max() <= 1e-12
+
+    def test_empty_sensor_raises_missing_tag(self, problem):
+        m, _, _, _, _ = problem
+        empty = dataclasses.replace(m, sensor_elements=[np.empty(0, dtype=int)])
+        with pytest.raises(MissingTag):
+            fim.build_sensor_model(empty, 0)
 
     def test_alpha0_zero_pure_scaling(self, problem):
         m, _, _, _, _ = problem
@@ -74,7 +81,7 @@ class TestPrecisionRoot:
         # the scaling limit is realized through a vanishingly small alpha0
         s = fim.build_sensor_model(m, 0, alpha0=1e-300, alpha1=2.0)
         rng = np.random.default_rng(0)
-        f = rng.standard_normal(len(s.patch.nodes))
+        f = rng.standard_normal(len(s.nodes))
         assert np.allclose(fim.apply_precision_root(s, f), 2.0 * f)
 
     def test_rayleigh_bound(self, problem):
@@ -82,7 +89,7 @@ class TestPrecisionRoot:
         s = sensors[1]
         rng = np.random.default_rng(1)
         for _ in range(5):
-            f = rng.standard_normal(len(s.patch.nodes))
+            f = rng.standard_normal(len(s.nodes))
             num = f @ (s.alpha0 * (s.stiffness @ f) + s.alpha1 * (s.lumped_mass * f))
             den = f @ (s.lumped_mass * f)
             assert num / den >= s.alpha1 - 1e-10
@@ -101,7 +108,7 @@ class TestElementaryFims:
         c = 2.0
         traj = fem.Trajectory(times=sens.times, values=np.full_like(sens.values[:1], c))
         tensor = fim.elementary_fims(traj, [s], [3], np.eye(1))
-        area = m.areas()[s.patch.elements].sum()
+        area = m.areas()[s.elements].sum()
         expected = 1.5 ** 2 * c ** 2 * area
         assert abs(tensor.matrices[0, 0, 0, 0] - expected) <= 1e-10 * expected
 
@@ -109,7 +116,7 @@ class TestElementaryFims:
         m, sensors, _, _, _ = problem
         s = sensors[0]
         rng = np.random.default_rng(2)
-        n = len(s.patch.nodes)
+        n = len(s.nodes)
         d = rng.standard_normal((n, 3))
         k_dense = s.stiffness.toarray()
         m_dense = np.diag(s.lumped_mass)
@@ -117,7 +124,7 @@ class TestElementaryFims:
         expected = d.T @ op @ np.linalg.solve(m_dense, op @ d)
 
         vals = np.zeros((3, 2, len(m.nodes)))
-        vals[:, 1, s.patch.nodes] = d.T
+        vals[:, 1, s.nodes] = d.T
         traj = fem.Trajectory(times=np.array([0.0, 1.0]), values=vals)
         tensor = fim.elementary_fims(traj, [s], [1], np.eye(3))
         got = tensor.matrices[0, 0]
@@ -137,7 +144,7 @@ class TestElementaryFims:
     def test_rank_bound(self, problem):
         _, sensors, _, _, tensor = problem
         for k, s in enumerate(sensors):
-            bound = min(tensor.n_basis, len(s.patch.nodes))
+            bound = min(tensor.n_basis, len(s.nodes))
             for li in range(tensor.n_time):
                 assert np.linalg.matrix_rank(tensor.matrices[k, li]) <= bound
 

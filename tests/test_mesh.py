@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from diffdesign import mesh
-from diffdesign.errors import ConstraintCrossing, DegenerateInput, UnknownTag
+from diffdesign import fim, mesh
+from diffdesign.errors import ConstraintCrossing, DegenerateInput
 
 
 def circumcircle_oracle(points, triangles, slack=1e-12):
@@ -52,14 +52,17 @@ def edge_use_counts(triangles):
 
 
 def mesh_digest(m):
-    """sha256 over the bytes of every mesh array and of the named patches."""
+    """sha256 over the bytes of every mesh array and of the element sets,
+    each under its mesh_stats.json name, in name order."""
     h = hashlib.sha256()
     for a in (m.nodes, m.triangles, m.regions,
               m.seg_nodes, m.seg_kind, m.seg_ref, m.seg_beta):
         h.update(np.ascontiguousarray(a).tobytes())
-    for name in sorted(m.patches):
+    sets = {"holdall": m.holdall_annulus, "holdall-closure": m.holdall_closure}
+    sets.update((f"sensor:{k}", e) for k, e in enumerate(m.sensor_elements))
+    for name in sorted(sets):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(m.patches[name]).tobytes())
+        h.update(np.ascontiguousarray(sets[name]).tobytes())
     return h.hexdigest()
 
 
@@ -296,11 +299,11 @@ class TestBuildMesh:
 
     def test_paper_layout_sensor_patches(self, paper_layout_mesh):
         m, spec = paper_layout_mesh
-        ids = m.sensor_ids()
-        assert ids == list(range(8))
+        assert len(m.sensor_elements) == len(spec.sensors) == 8
         seen = set()
-        for k in ids:
-            elems = set(m.patches[f"sensor:{k}"].tolist())
+        for elems in m.sensor_elements:
+            assert np.all(np.diff(elems) > 0)
+            elems = set(elems.tolist())
             assert elems
             assert not elems & seen
             seen |= elems
@@ -336,13 +339,14 @@ class TestBuildMesh:
 
     def test_dirichlet_on_top(self, paper_layout_mesh):
         m, _ = paper_layout_mesh
-        nodes = m.dirichlet_nodes()
+        nodes = np.unique(m.seg_nodes[m.seg_kind == "dirichlet"])
         assert len(nodes) > 2
         assert np.allclose(m.nodes[nodes, 1], 1.0, atol=1e-9)
 
     def test_robin_betas(self, paper_layout_mesh):
         m, _ = paper_layout_mesh
-        segs, refs, betas = m.segments_of_kind("robin")
+        robin = m.seg_kind == "robin"
+        segs, betas = m.seg_nodes[robin], m.seg_beta[robin]
         mids = 0.5 * (m.nodes[segs[:, 0]] + m.nodes[segs[:, 1]])
         on_lower_left = (np.abs(mids[:, 1]) <= 1e-9) & (mids[:, 0] < 0.5)
         assert np.all(betas[on_lower_left] == 10.0)
@@ -358,33 +362,32 @@ class TestBuildMesh:
 
 
 class TestExtractPatch:
+    """The typed element sets of the mesh and the local numbering that
+    `fim.build_sensor_model` gives a sensor's elements."""
+
     def test_sensor_patch_area(self, paper_layout_mesh):
         m, _ = paper_layout_mesh
-        patch = mesh.extract_patch(m, "sensor:0")
-        assert abs(m.areas()[patch.elements].sum() - 0.09) <= 0.02 * 0.09
+        assert abs(m.areas()[m.sensor_elements[0]].sum() - 0.09) <= 0.02 * 0.09
 
     def test_holdall_patch_area(self, paper_layout_mesh):
         m, _ = paper_layout_mesh
         inc_area = m.areas()[m.regions == 1].sum()
-        patch = mesh.extract_patch(m, "holdall")
-        assert abs(m.areas()[patch.elements].sum() - (0.09 - inc_area)) <= 1e-9
+        assert abs(m.areas()[m.holdall_annulus].sum() - (0.09 - inc_area)) <= 1e-9
 
     def test_holdall_closure_area(self, paper_layout_mesh):
         m, _ = paper_layout_mesh
-        patch = mesh.extract_patch(m, "holdall-closure")
-        assert abs(m.areas()[patch.elements].sum() - 0.09) <= 1e-9
+        assert abs(m.areas()[m.holdall_closure].sum() - 0.09) <= 1e-9
 
     def test_local_map_injective(self, paper_layout_mesh):
         m, _ = paper_layout_mesh
-        patch = mesh.extract_patch(m, "sensor:3")
-        local = patch.local_triangles()
-        assert np.array_equal(np.unique(local), np.arange(len(patch.nodes)))
-        assert np.array_equal(patch.nodes[local], m.triangles[patch.elements])
-
-    def test_unknown_tag(self, paper_layout_mesh):
-        m, _ = paper_layout_mesh
-        with pytest.raises(UnknownTag):
-            mesh.extract_patch(m, "sensor:99")
+        s = fim.build_sensor_model(m, 3)
+        tris = m.triangles[m.sensor_elements[3]]
+        assert np.array_equal(s.elements, m.sensor_elements[3])
+        assert np.array_equal(s.nodes, np.unique(tris))
+        # the lumped mass, summed on local ids, lands on the right global nodes
+        mass = np.zeros(len(m.nodes))
+        np.add.at(mass, tris.ravel(), np.repeat(m.areas()[s.elements] / 3.0, 3))
+        assert np.allclose(s.lumped_mass, mass[s.nodes], rtol=1e-12, atol=0.0)
 
 
 class TestMeshStress:
@@ -404,8 +407,8 @@ class TestMeshStress:
         for u, v in m.seg_nodes:
             assert (min(u, v), max(u, v)) in edges
         seen = set()
-        for k in m.sensor_ids():
-            elems = set(m.patches[f"sensor:{k}"].tolist())
+        for elems in m.sensor_elements:
+            elems = set(elems.tolist())
             assert elems and not elems & seen
             seen |= elems
 

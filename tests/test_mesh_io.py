@@ -54,13 +54,11 @@ def test_msh_roundtrip(tmp_path, small_mesh):
 
     tri_phys = tris[:, 3]
     assert np.array_equal(tri_phys == 2, small_mesh.regions == 1)
-    expected_patches = {"holdall": tri_phys == 3,
-                        "holdall-closure": (tri_phys == 2) | (tri_phys == 3)}
-    for k in small_mesh.sensor_ids():
-        expected_patches[f"sensor:{k}"] = tri_phys == 100 + k
-    assert set(expected_patches) == set(small_mesh.patches)
-    for name, mask in expected_patches.items():
-        assert np.array_equal(np.flatnonzero(mask), np.sort(small_mesh.patches[name]))
+    assert np.array_equal(np.flatnonzero(tri_phys == 3), small_mesh.holdall_annulus)
+    assert np.array_equal(np.flatnonzero((tri_phys == 2) | (tri_phys == 3)),
+                          small_mesh.holdall_closure)
+    for k, elems in enumerate(small_mesh.sensor_elements):
+        assert np.array_equal(np.flatnonzero(tri_phys == 100 + k), elems)
 
     fixed = {"dirichlet": 11, "interface": 12, "holdall": 13}
     for phys, kind, ref in zip(segs[:, 3], small_mesh.seg_kind, small_mesh.seg_ref):

@@ -262,7 +262,7 @@ class TestExtendVelocity:
     def test_zero_outside_holdall(self, extended_fields):
         m, _, _, fields = extended_fields
         outside = np.setdiff1d(np.arange(len(m.nodes)),
-                               np.unique(m.triangles[m.patches["holdall-closure"]]))
+                               np.unique(m.triangles[m.holdall_closure]))
         for f in fields.values:
             assert np.all(f[outside] == 0.0)
 
@@ -275,11 +275,12 @@ class TestExtendVelocity:
 
     def test_energy_optimality(self, extended_fields):
         m, curve, _, fields = extended_fields
-        from diffdesign.shape import _elasticity_matrix, _holdall_boundary_nodes
-        support = m.patches["holdall-closure"]
+        from diffdesign.shape import _elasticity_matrix
+        support = m.holdall_closure
         stiff = _elasticity_matrix(m, support, shape.LAME_LAMBDA_DEFAULT,
                                    shape.LAME_MU_DEFAULT)
-        fixed = np.unique(np.concatenate([curve.vertices, _holdall_boundary_nodes(m)]))
+        hold_nodes = m.seg_nodes[m.seg_kind == "holdall"].ravel()
+        fixed = np.unique(np.concatenate([curve.vertices, hold_nodes]))
         involved = np.unique(m.triangles[support])
         free = np.setdiff1d(involved, fixed)
         rng = np.random.default_rng(5)
@@ -295,19 +296,19 @@ class TestExtendVelocity:
     def test_matches_direct_sparse_solve(self, circle_interface_mesh):
         # same reduced elasticity system solved by an unrelated solver
         import scipy.sparse.linalg as spla
-        from diffdesign.shape import _elasticity_matrix, _holdall_boundary_nodes
+        from diffdesign.shape import _elasticity_matrix
         m = circle_interface_mesh
         curve = shape.interface_from_mesh(m)
         b = shape.gaussian_bump_basis(curve, 3)[1]
         [mine] = shape.extend_velocity(m, curve, [b], tol=1e-13).values
 
-        support = m.patches["holdall-closure"]
+        support = m.holdall_closure
         stiff = _elasticity_matrix(m, support, shape.LAME_LAMBDA_DEFAULT,
                                    shape.LAME_MU_DEFAULT)
         values = np.zeros((len(m.nodes), 2))
         values[curve.vertices] = b[:, None] * curve.normals
-        fixed_nodes = np.unique(np.concatenate([curve.vertices,
-                                                _holdall_boundary_nodes(m)]))
+        hold_nodes = m.seg_nodes[m.seg_kind == "holdall"].ravel()
+        fixed_nodes = np.unique(np.concatenate([curve.vertices, hold_nodes]))
         involved = np.unique(m.triangles[support])
         free_nodes = np.setdiff1d(involved, fixed_nodes)
         free = np.column_stack([2 * free_nodes, 2 * free_nodes + 1]).ravel()
