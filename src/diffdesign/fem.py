@@ -10,11 +10,20 @@ test suite's finite-difference oracle checks. The sensitivities of the k
 basis fields are one block: their element data are formed once, the
 field-independent terms of each step's load once per step, and the block
 marches with one CG solve per time step into one `Trajectory` with
-(k, n_steps + 1, n_nodes) values.
+(k, n_steps + 1, n_nodes) values. The fields are independent, so the block
+is split into one contiguous group of rows per usable CPU (the process's
+affinity mask): the calling process marches the first group and one forked
+child per other group writes its rows into the same shared array. Each row
+is bitwise that of its field marched alone, so the split never changes a
+bit of the result.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +60,9 @@ class HeatOperators:
         if tau not in self._cache:
             n = len(self.mesh.nodes)
             free = np.setdiff1d(np.arange(n), self.dirichlet_nodes)
-            a = (self.mass + tau * (self.stiffness + self.robin)).tocsr()
-            a_ff = a[free][:, free].tocsr()
-            a_fc = a[free][:, self.dirichlet_nodes].tocsr()
+            a = (self.mass + tau * (self.stiffness + self.robin)).tocsr()[free]
+            a_ff = a[:, free].tocsr()
+            a_fc = a[:, self.dirichlet_nodes].tocsr()
             self._cache[tau] = (free, a_ff, a_fc)
         return self._cache[tau]
 
@@ -112,27 +121,22 @@ def assemble_heat(mesh: Mesh, kappa_bulk=KAPPA_BULK_DEFAULT,
                          dirichlet_value=float(u_d), source=source)
 
 
-def _march(ops: HeatOperators, tau, n_steps, load, dirichlet_value, tol, k):
-    """Backward-Euler march of k independent states from zero.
+def _march(ops: HeatOperators, tau, load, dirichlet_value, tol, out):
+    """Backward-Euler march of k independent states from zero into `out`,
+    their (k, n_steps + 1, n) nodal values; out[:, 0] must hold zeros.
 
     Step m solves A_ff X = (M U_{m-1}^T)^T[:, free] + load(m) for all k rows
-    in one `cg_solve` call, warm-started from the previous step, and sets the
-    Dirichlet nodes to `dirichlet_value`; returns the (k, n_steps + 1, n)
-    nodal values.
+    in one `cg_solve` call, warm-started from the previous step, and writes
+    X and the Dirichlet value `dirichlet_value` into out[:, m].
     """
-    n = len(ops.mesh.nodes)
     free, a_ff, _ = ops.reduced_system(tau)
-    values = np.zeros((k, n_steps + 1, n))
-    u = np.zeros((k, n))
     guess = None
-    for m in range(1, n_steps + 1):
-        rhs = (ops.mass @ u.T).T[:, free] + load(m)
+    for m in range(1, out.shape[1]):
+        rhs = (ops.mass @ out[:, m - 1].T).T[:, free] + load(m)
         guess = cg_solve(a_ff, rhs, tol=tol, x0=guess)
-        u = np.zeros((k, n))
-        u[:, free] = guess
-        u[:, ops.dirichlet_nodes] = dirichlet_value
-        values[:, m] = u
-    return values
+        step = out[:, m]
+        step[:, free] = guess
+        step[:, ops.dirichlet_nodes] = dirichlet_value
 
 
 def solve_forward(ops: HeatOperators, horizon=T_DEFAULT,
@@ -152,7 +156,8 @@ def solve_forward(ops: HeatOperators, horizon=T_DEFAULT,
             return neg_lift
         return neg_lift + tau * (ops.mass @ np.asarray(ops.source(times[m])))[free]
 
-    values = _march(ops, tau, n_steps, load, ops.dirichlet_value, tol, 1)
+    values = np.zeros((1, n_steps + 1, len(ops.mesh.nodes)))
+    _march(ops, tau, load, ops.dirichlet_value, tol, values)
     return Trajectory(times=times, values=values[0])
 
 
@@ -187,24 +192,113 @@ def _sensitivity_rhs(u_now, u_prev, tau, tris, g, area, a_v, div, kappa, n):
     return rhs
 
 
+def _usable_cpus():
+    """CPUs this process may run on (its affinity mask); 1 where the
+    platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _shared_zeros(shape):
+    """Zeroed float array in an anonymous shared mapping: what a forked child
+    writes into it is what the parent reads."""
+    count = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=float,
+                         count=count).reshape(shape)
+
+
+def _fork_group(march, rows):
+    """Fork a child that runs march(rows, alive) and leaves through
+    os._exit, so it never flushes inherited stdio buffers or runs atexit
+    hooks. Returns (pid, read end of a pipe that carries the pickled
+    exception the child raised, and nothing when it succeeded).
+
+    `alive`, called once per time step, ends the child when its parent is
+    gone, so a killed parent leaves no orphan marching on.
+    """
+    parent = os.getpid()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+
+        def alive():
+            if os.getppid() != parent:
+                os._exit(1)
+
+        march(rows, alive)
+        status = 0
+    except BaseException as err:
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(err))
+    finally:
+        os._exit(status)
+
+
+def _march_groups(k, march):
+    """Run march(rows, alive) over min(k, usable CPUs) contiguous row groups
+    of range(k): one forked child per group but the first, which this
+    process marches itself. Reaps every child, then raises the first
+    group's error; if this process raises first, its children are killed
+    and reaped."""
+    groups = [slice(g[0], g[-1] + 1)
+              for g in np.array_split(np.arange(k), min(k, _usable_cpus()))]
+    pending = []                    # (pid, pipe read end) not yet reaped
+    ended = []                      # (pid, pickled error, wait status)
+    try:
+        for rows in groups[1:]:
+            pending.append(_fork_group(march, rows))
+        march(groups[0], lambda: None)
+        while pending:
+            pid, read_end = pending[0]
+            with os.fdopen(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pending.pop(0)
+            os.close(read_end)
+            ended.append((pid, payload, status))
+    finally:
+        for pid, read_end in pending:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+    for pid, payload, status in ended:
+        if payload:
+            raise pickle.loads(payload)
+        if status != 0:
+            raise RuntimeError(f"sensitivity worker {pid} ended with wait status {status}")
+
+
 def solve_sensitivity(ops: HeatOperators, forward: Trajectory,
                       vfields: VelocityField, tol=1e-10) -> Trajectory:
     """Material derivatives of the forward trajectory along each of the k
     velocity fields: one Trajectory with (k, n_steps + 1, n) values.
 
     Same left-hand operator as the forward solve with homogeneous Dirichlet
-    data; starts from zero. The fields march together, one block solve per
-    step, and each row is bitwise that of its field marched alone.
+    data; starts from zero. The fields march in contiguous groups, one per
+    usable CPU: this process marches the first and a forked child each other
+    group, every group one block solve per step. Each row is bitwise that
+    of its field marched alone, whatever the number of groups. A child's
+    error is raised here with its type and message.
     """
     tau = forward.tau
     n = len(ops.mesh.nodes)
     free, _, _ = ops.reduced_system(tau)
-    data = _sensitivity_element_data(ops, vfields)
+    tris, g, area, a_v, div, kappa = _sensitivity_element_data(ops, vfields)
+    values = _shared_zeros((len(a_v), len(forward.times), n))
 
-    def load(m):
-        return tau * _sensitivity_rhs(forward.values[m], forward.values[m - 1],
-                                      tau, *data, n)[:, free]
+    def march(rows, alive):
+        def load(m):
+            alive()
+            return tau * _sensitivity_rhs(
+                forward.values[m], forward.values[m - 1], tau, tris, g, area,
+                a_v[rows], div[rows], kappa, n)[:, free]
 
-    values = _march(ops, tau, len(forward.times) - 1, load, 0.0, tol,
-                    len(vfields.values))
+        _march(ops, tau, load, 0.0, tol, values[rows])
+
+    _march_groups(len(a_v), march)
     return Trajectory(times=forward.times, values=values)

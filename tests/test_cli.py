@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from diffdesign import cli, config, fem, fim, mesh, pipeline
 from diffdesign.errors import ConfigError
 
+from test_fem import assert_no_child_left, fail_cg_in
 from test_fim import CORRUPTIONS, corrupt, set_cache_version
 
 # small, fast problem: coarse mesh, 2 sensors, few steps, tiny basis
@@ -336,6 +341,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert "phi" in captured.out
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_pipeline_output_written_once(self, tmp_path):
+        # three sensitivity groups, so two forked children; stdout is a
+        # block-buffered pipe, so the line printed first still sits in its
+        # buffer when they fork. The uniform design skips the optimizer
+        script = ("import sys\nfrom diffdesign import cli, fem\n"
+                  "fem._usable_cpus = lambda: 3\nprint('started')\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "pipeline", "--config",
+             str(write_config(tmp_path, **{"design.optimize": False})),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        stages = [line.split(":")[0] for line in proc.stderr.splitlines()
+                  if line.startswith("[fast] ")]
+        assert "[fast] sensitivities" in stages
+        assert len(stages) == len(set(stages))
+        assert proc.stdout.count("started") == 1
+        assert proc.stdout.count("phi = ") == 1
+
+    def test_sensitivity_worker_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: 2)
+        fail_cg_in(monkeypatch, "child")
+        code = cli.main(["sensitivities", "--config", str(write_config(tmp_path)),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert "NoConvergence: CG stalled in the child" in capsys.readouterr().err
+        assert_no_child_left()
 
     def test_generate_mesh(self, tmp_path):
         cfg_path = write_config(tmp_path)

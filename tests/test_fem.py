@@ -1,9 +1,11 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from diffdesign import fem, mesh, shape
+from diffdesign.errors import NoConvergence
 
 from test_shape import rows
 
@@ -305,6 +307,73 @@ class TestMetamorphic:
         got = fem.solve_sensitivity(ops, forward, rows(fields, perm), tol=1e-12)
         for values, i in zip(got.values, perm):
             assert np.array_equal(values, ref.values[i])
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_cg_in(monkeypatch, side):
+    """Make fem's CG raise NoConvergence only in the forked children
+    (side "child") or only in this process (side "parent")."""
+    here, real = os.getpid(), fem.cg_solve
+
+    def cg_solve(*args, **kwargs):
+        if (os.getpid() == here) == (side == "parent"):
+            raise NoConvergence(f"CG stalled in the {side}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "cg_solve", cg_solve)
+
+
+class TestGroupedMarch:
+    """The fields march in one contiguous group per usable CPU: this process
+    the first, a forked child each other."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_any_group_count_gives_the_same_bits(self, fixture_problem, monkeypatch,
+                                                 cpus):
+        _, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: 1)
+        serial = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        forks, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: cpus)
+        grouped = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        assert len(forks) == min(cpus, len(fields.values)) - 1
+        for row, expected in zip(grouped.values, serial.values):
+            assert np.array_equal(row, expected)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("side", ["child", "parent"])
+    def test_error_raised_and_children_reaped(self, fixture_problem, monkeypatch, side):
+        _, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: 3)
+        fail_cg_in(monkeypatch, side)
+        with pytest.raises(NoConvergence, match=f"CG stalled in the {side}"):
+            fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        assert_no_child_left()
+
+    def test_child_stops_when_its_parent_is_gone(self, fixture_problem, monkeypatch):
+        # a child whose parent was killed sees another parent pid
+        _, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "getppid", lambda: -1)
+        with pytest.raises(RuntimeError, match="ended with wait status 256"):
+            fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        assert_no_child_left()
 
 
 class TestFdOracle:
