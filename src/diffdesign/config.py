@@ -1,11 +1,13 @@
 """Run configuration: JSON schema, defaults, and content hashing.
 
-A single JSON document drives the whole pipeline. Validation reports the
-offending JSON path; hashing covers every field that influences numerics so
-cached tensors are invalidated by any meaningful change. The tensor hash is
-the subset of fields the elementary FIMs depend on (geometry, physics,
-basis, noise, measurement instants); optimizer tolerances only enter the
-full config hash.
+A single JSON document drives the whole pipeline. `SCHEMA` is standard JSON
+Schema (Draft 2020-12, shipped as docs/config.schema.json); a small built-in
+walker checks the keywords it uses, so validation imports no third-party
+package, and reports the offending JSON path. Hashing covers every field
+that influences numerics so cached tensors are invalidated by any
+meaningful change. The tensor hash is the subset of fields the elementary
+FIMs depend on (geometry, physics, basis, noise, measurement instants);
+optimizer tolerances only enter the full config hash.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from . import fem, fim, oed, shape
@@ -119,19 +122,74 @@ SCHEMA = {
     },
 }
 
-# JSON numbers are finite: Python's json module still parses NaN and
-# Infinity, so the schema's "number" type excludes them explicitly. JSON
-# Schema counts 3.0 as an integer, but the pipeline needs Python ints (grid
-# sizes, counts, indices), so "integer" admits only those
-_BASE_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=_BASE_TYPES.redefine_many({
-        "number": lambda checker, x: (_BASE_TYPES.is_type(x, "number")
-                                      and (isinstance(x, int) or math.isfinite(x))),
-        "integer": lambda checker, x: isinstance(x, int) and not isinstance(x, bool),
-    }),
-)(SCHEMA)
+
+def _is_number(x):
+    # JSON numbers are finite: Python's json module still parses NaN and
+    # Infinity, so "number" excludes them explicitly
+    return (isinstance(x, numbers.Number) and not isinstance(x, bool)
+            and (isinstance(x, int) or math.isfinite(x)))
+
+
+#: JSON Schema type name -> test. JSON Schema counts 3.0 as an integer, but
+#: the pipeline needs Python ints (grid sizes, counts, indices), so "integer"
+#: admits only those
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+#: bound keyword -> (type it applies to, violated(value, bound), message)
+_BOUNDS = {
+    "minimum": ("number", operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": ("number", operator.le, "is less than or equal to the minimum of"),
+    "maximum": ("number", operator.gt, "is greater than the maximum of"),
+    "minItems": ("array", lambda x, n: len(x) < n, "is too short, minimum length"),
+    "maxItems": ("array", lambda x, n: len(x) > n, "is too long, maximum length"),
+}
+#: every keyword _schema_errors interprets ("$schema" is read and ignored)
+_KEYWORDS = frozenset({"$schema", "type", "enum", "properties", "additionalProperties",
+                       "required", "items", *_BOUNDS})
+
+
+def _schema_errors(value, schema, path="$"):
+    """Every (JSON path, message) by which `value` violates `schema`, in the
+    order of the schema's keywords: the Draft 2020-12 subset in _KEYWORDS,
+    with `additionalProperties` only ever false. Value errors carry the
+    value's path, `required` and `additionalProperties` errors the object's."""
+    errors = []
+    for key, arg in schema.items():
+        if key == "type":
+            kinds = arg if isinstance(arg, list) else [arg]
+            if not any(_TYPES[kind](value) for kind in kinds):
+                errors.append((path, f"{value!r} is not of type "
+                                     f"{', '.join(map(repr, kinds))}"))
+        elif key == "enum":
+            if value not in arg:
+                errors.append((path, f"{value!r} is not one of {arg!r}"))
+        elif key in _BOUNDS:
+            kind, violated, text = _BOUNDS[key]
+            if _TYPES[kind](value) and violated(value, arg):
+                errors.append((path, f"{value!r} {text} {arg!r}"))
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                errors += _schema_errors(item, arg, f"{path}[{i}]")
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    errors += _schema_errors(value[name], sub, f"{path}.{name}")
+        elif key == "required" and isinstance(value, dict):
+            errors += [(path, f"{name!r} is a required property")
+                       for name in arg if name not in value]
+        elif key == "additionalProperties" and isinstance(value, dict):
+            extras = sorted(set(value) - set(schema.get("properties", ())), key=str)
+            if extras:
+                errors.append((path, "additional properties are not allowed "
+                                     f"({', '.join(map(repr, extras))} unexpected)"))
+    return errors
 
 
 @dataclass
@@ -239,10 +297,10 @@ def load_config(source) -> Config:
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}") from err
 
-    errors = sorted(_VALIDATOR.iter_errors(raw), key=lambda e: e.json_path)
+    errors = sorted(_schema_errors(raw, SCHEMA), key=lambda e: e[0])
     if errors:
-        first = errors[0]
-        raise ConfigError(f"{first.json_path}: {first.message}")
+        path, message = errors[0]
+        raise ConfigError(f"{path}: {message}")
 
     cfg = Config()
     cfg.geometry = _geometry_from_dict(raw.get("geometry", {}))

@@ -26,6 +26,7 @@ Tagged entities:
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -493,8 +494,9 @@ def _segment_encroached(tr, key):
                for tid in tr._owners(key) for w in tr.tri_v[tid])
 
 
-def _split_segment(tr, key, work, node_cap):
-    """Split a constrained segment at its midpoint.
+def _split_segment(tr, key, work, node_cap, segments):
+    """Split a constrained segment at its midpoint (`segments`, the
+    _SegmentCache of `tr`, records the halves).
 
     The split is structural (each adjacent triangle is replaced by two) so
     collinear constraint chains never enter a Bowyer-Watson cavity; the
@@ -517,13 +519,11 @@ def _split_segment(tr, key, work, node_cap):
         work.append(tr._create(m, y, w))
         suspect.append(_edge_key(x, w))
         suspect.append(_edge_key(y, w))
-    source = tr.constrained.pop(key)
-    tr.constrained[_edge_key(u, m)] = source
-    tr.constrained[_edge_key(m, v)] = source
+    segments.split(key, m)
     tr.legalize(suspect)
     for sub in (_edge_key(u, m), _edge_key(m, v)):
         if _segment_encroached(tr, sub):
-            _split_segment(tr, sub, work, node_cap)
+            _split_segment(tr, sub, work, node_cap, segments)
 
 
 def refine(tr, h=None, node_cap=200000):
@@ -544,12 +544,12 @@ def refine(tr, h=None, node_cap=200000):
             tr.constrained.setdefault(_edge_key(u, v), 0)
 
     work = deque()
+    segments = _SegmentCache(tr)
     for key in sorted(tr.constrained):
         if _segment_encroached(tr, key):
-            _split_segment(tr, key, work, node_cap)
+            _split_segment(tr, key, work, node_cap, segments)
 
     stalled = set()
-    seg_cache = _SegmentCache(tr)
     progressed = True
     while progressed:
         work.extend(tr.triangle_ids())
@@ -566,9 +566,9 @@ def refine(tr, h=None, node_cap=200000):
                 raise RefinementBudgetExceeded(f"node cap {node_cap} reached")
             a, b, c = tr.tri_v[tid]
             center = _circumcenter(tr.points[a], tr.points[b], tr.points[c])
-            key = seg_cache.encroached(center)
+            key = segments.encroached(center)
             if key is not None:
-                _split_segment(tr, key, work, node_cap)
+                _split_segment(tr, key, work, node_cap, segments)
                 work.append(tid)
                 progressed = True
                 continue
@@ -585,26 +585,39 @@ def refine(tr, h=None, node_cap=200000):
 class _SegmentCache:
     """`_encroaches` over every constrained segment at once.
 
-    The sorted keys and their end point arrays are rebuilt whenever the
-    constraint count changes (splits only ever grow the set). Every key is
-    an edge: recovery records only edges, a split creates both halves, and
-    flips and insertion cavities never remove a constrained edge.
+    Holds the constrained keys sorted, beside an (s, 4) array of their end
+    points; `split` updates both along with `tr.constrained`, so during
+    refinement every change to the constraints goes through it. Every key
+    is an edge: recovery records only edges, a split creates both halves,
+    and flips and insertion cavities never remove a constrained edge.
     """
 
     def __init__(self, tr):
         self.tr = tr
-        self._count = -1
+        self.keys = sorted(tr.constrained)
+        self.ends = np.array([self._ends(key) for key in self.keys],
+                             dtype=float).reshape(-1, 4)
+
+    def _ends(self, key):
+        return self.tr.points[key[0]] + self.tr.points[key[1]]
+
+    def split(self, key, m):
+        """Replace constrained `key` by its halves at point m, both keeping
+        its source."""
+        source = self.tr.constrained.pop(key)
+        i = bisect.bisect_left(self.keys, key)
+        del self.keys[i]
+        ends = np.delete(self.ends, i, axis=0)
+        for half in (_edge_key(key[0], m), _edge_key(m, key[1])):
+            self.tr.constrained[half] = source
+            j = bisect.bisect_left(self.keys, half)
+            self.keys.insert(j, half)
+            ends = np.insert(ends, j, self._ends(half), axis=0)
+        self.ends = ends
 
     def encroached(self, p):
         """The lowest constrained key that p encroaches, or None."""
-        tr = self.tr
-        if self._count != len(tr.constrained):
-            self.keys = sorted(tr.constrained)
-            ends = np.array([tr.points[u] + tr.points[v] for u, v in self.keys],
-                            dtype=float).reshape(-1, 4)
-            self.u, self.v = ends[:, :2].T, ends[:, 2:].T
-            self._count = len(tr.constrained)
-        hits = np.flatnonzero(_encroaches(p, self.u, self.v))
+        hits = np.flatnonzero(_encroaches(p, self.ends[:, :2].T, self.ends[:, 2:].T))
         return self.keys[hits[0]] if len(hits) else None
 
 

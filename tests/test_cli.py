@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,11 +53,12 @@ def write_config(tmp_path, payload=None, **overrides):
 # numbers in (0, 1], integers from one below the schema minimum, lists mostly
 # of valid length and sometimes one item short or long, so most draws pass the
 # schema and reach the checks after it. In the other half any value may be a
-# leaf of another type (negative, huge and non-finite numbers included) and
-# any object may carry an unknown key. Integers stay small, so no draw asks
-# for a huge time grid or spline sampling
+# leaf of another type (negative, huge and non-finite numbers included; NaN
+# and the infinities on their own, since st.floats() seldom draws them inside
+# a config) and any object may carry an unknown key. Integers stay small, so
+# no draw asks for a huge time grid or spline sampling
 _LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 60), st.floats(),
-                    st.text(max_size=3))
+                    st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=3))
 
 
 def _typed(spec, junk):
@@ -95,6 +98,39 @@ def _values(spec, junk):
 
 
 _CONFIG_DICTS = _typed(config.SCHEMA, False) | _typed(config.SCHEMA, True)
+
+# reference validator for config._schema_errors: jsonschema's Draft 2020-12
+# with the same two type redefinitions. JSON numbers are finite: Python's json
+# module still parses NaN and Infinity, so the schema's "number" type excludes
+# them explicitly. JSON Schema counts 3.0 as an integer, but the pipeline
+# needs Python ints (grid sizes, counts, indices), so "integer" admits only
+# those
+_BASE_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
+_REFERENCE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=_BASE_TYPES.redefine_many({
+        "number": lambda checker, x: (_BASE_TYPES.is_type(x, "number")
+                                      and (isinstance(x, int) or math.isfinite(x))),
+        "integer": lambda checker, x: isinstance(x, int) and not isinstance(x, bool),
+    }),
+)(config.SCHEMA)
+
+
+def error_paths(raw):
+    """The sorted JSON paths of every schema error, from the walker and from
+    the reference validator; load_config reports the first."""
+    walker = sorted(path for path, _ in config._schema_errors(raw, config.SCHEMA))
+    reference = sorted(err.json_path for err in _REFERENCE.iter_errors(raw))
+    return walker, reference
+
+
+def schema_nodes(schema):
+    """`schema` and every subschema below it."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from schema_nodes(sub)
+    if "items" in schema:
+        yield from schema_nodes(schema["items"])
 
 
 class TestConfig:
@@ -155,6 +191,63 @@ class TestConfig:
             assert isinstance(config.load_config(raw), config.Config)
         except ConfigError as err:
             assert str(err).startswith("$")
+
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(_CONFIG_DICTS)
+    def test_walker_agrees_with_reference_validator(self, raw):
+        # every error, not only the first: a bad value behind an earlier
+        # sorted error (an unknown key of its object) must still be seen
+        walker, reference = error_paths(raw)
+        assert walker == reference
+
+    @pytest.mark.parametrize("raw, path", [
+        ([], "$"),
+        ("{}", "$"),
+        ({"physics": {"n_steps": 3.0}}, "$.physics.n_steps"),
+        ({"physics": {"n_steps": True}}, "$.physics.n_steps"),
+        ({"physics": {"kappa_bulk": False}}, "$.physics.kappa_bulk"),
+        ({"physics": {"kappa_bulk": float("nan")}}, "$.physics.kappa_bulk"),
+        ({"noise": {"alpha0": -math.inf}}, "$.noise.alpha0"),
+        ({"design": {"master_max_iter": 10}}, "$.design"),
+        ({"geometry": {"robin_spans": [{"side": "top", "lo": 0.0, "hi": 1.0}]}},
+         "$.geometry.robin_spans[0]"),
+        ({"geometry": {"sensors": [[0.1, 0.2, 0.3, 0.4], [0.1, math.inf, 0.3, 0.4]]}},
+         "$.geometry.sensors[1][1]"),
+        ({"geometry": {"spline_control": [[0.1, 0.2], [0.3], [0.5, 0.6]]}},
+         "$.geometry.spline_control[1]"),
+        ({"design": {"instants": [0, 3, -1]}}, "$.design.instants[2]"),
+        ({"design": {"instants": None, "mode": "time"}}, "$.design.mode"),
+        ({"design": {"instants": None}}, None),
+    ])
+    def test_walker_error_path(self, raw, path):
+        # value errors carry the value's path; additionalProperties, required
+        # and a non-object top level the object's
+        walker, reference = error_paths(raw)
+        assert walker[:1] == reference[:1] == ([path] if path else [])
+
+    def test_shipped_schema_is_valid_json_schema(self):
+        jsonschema.Draft202012Validator.check_schema(config.SCHEMA)
+
+    def test_schema_uses_only_walker_keywords(self):
+        # the walker ignores keywords it does not know, so a schema keyword
+        # it does not implement would be an unchecked constraint
+        for node in schema_nodes(config.SCHEMA):
+            assert set(node) <= config._KEYWORDS, node
+            assert node.get("additionalProperties", False) is False, node
+            kinds = node.get("type", [])
+            assert set(kinds if isinstance(kinds, list) else [kinds]) <= set(config._TYPES)
+
+    def test_validation_imports_no_jsonschema(self):
+        script = ("import json, sys\nimport diffdesign.cli\n"
+                  "from diffdesign.config import load_config\nload_config({})\n"
+                  "print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules})))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        packages = set(json.loads(proc.stdout))
+        assert "diffdesign" in packages
+        assert not packages & {"jsonschema", "referencing", "rpds"}
 
     def test_paper_cases(self):
         cases = config.comparison_case_dicts()

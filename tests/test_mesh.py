@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -199,6 +200,27 @@ class TestRefine:
             else:
                 assert twin != tid
                 assert tr._neighbor(u, v) == twin
+
+    def test_segment_cache_follows_splits(self):
+        # the cache's incrementally kept keys and end points equal one built
+        # afresh, and it answers with the lowest encroached key
+        rng = np.random.default_rng(5)
+        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        ring = 0.5 + 0.3 * np.column_stack([np.cos(angles), np.sin(angles)])
+        tr = mesh.bowyer_watson(np.vstack([ring, [(0, 0), (1, 0), (1, 1), (0, 1)]]))
+        mesh.recover_constraints(tr, [(i, (i + 1) % 16, 0) for i in range(16)])
+        mesh.strip_super(tr)
+        segments = mesh._SegmentCache(tr)
+        for key in sorted(tr.constrained)[::2]:
+            mesh._split_segment(tr, key, deque(), 10000, segments)
+        fresh = mesh._SegmentCache(tr)
+        assert len(tr.constrained) > 16
+        assert segments.keys == fresh.keys == sorted(tr.constrained)
+        assert np.array_equal(segments.ends, fresh.ends)
+        for p in rng.random((200, 2)):
+            hits = [k for k in sorted(tr.constrained)
+                    if mesh._encroaches(p, tr.points[k[0]], tr.points[k[1]])]
+            assert segments.encroached(p) == (hits[0] if hits else None)
 
     def test_fine_mesh_is_fixpoint(self):
         angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
