@@ -7,14 +7,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import mesh_io
 from .config import load_config, comparison_case_dicts
 from .errors import ConfigError, DiffDesignError, Infeasible
-from .pipeline import Pipeline, compare_cases
+from .pipeline import Pipeline, _write_json, compare_cases
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -65,8 +64,7 @@ def _run(args):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, payload in comparison_case_dicts().items():
-            (out / f"{name}.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            _write_json(out / f"{name}.json", payload)
         print(f"wrote 5 case configs under {out}")
         return 0
 
@@ -93,8 +91,7 @@ def _run(args):
                         "holdall-closure": len(m.holdall_closure),
                         **{f"sensor:{k}": len(e) for k, e in enumerate(m.sensor_elements)}},
         }
-        (out / "mesh_stats.json").write_text(
-            json.dumps(stats, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "mesh_stats.json", stats)
         print(f"mesh: {stats['nodes']} nodes, {stats['triangles']} triangles")
         return 0
 

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,22 +281,33 @@ def _fill(dc, raw):
     return dc
 
 
-def load_config(source) -> Config:
-    """Build a validated Config from a path, file object, or dict.
+def _read_json(source):
+    """JSON document of a file object, or of the file at a path."""
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"invalid JSON: {err}") from err
+    except OSError as err:
+        raise ConfigError(f"cannot read config: {err}") from err
 
-    Schema violations raise ConfigError carrying the JSON path of the
-    offending element.
+
+def load_config(source) -> Config:
+    """Build a validated Config from a dict, a file object (anything with
+    `read`) or a `str`/`os.PathLike` path.
+
+    Any other source, and every schema violation, raises ConfigError
+    carrying the JSON path of the offending element.
     """
     if isinstance(source, dict):
         raw = source
+    elif hasattr(source, "read") or isinstance(source, (str, os.PathLike)):
+        raw = _read_json(source)
     else:
-        try:
-            with open(source, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"invalid JSON: {err}") from err
-        except OSError as err:
-            raise ConfigError(f"cannot read config: {err}") from err
+        raise ConfigError(f"$: expected a dict, a file object or a path, "
+                          f"not {type(source).__name__}")
 
     errors = sorted(_schema_errors(raw, SCHEMA), key=lambda e: e[0])
     if errors:

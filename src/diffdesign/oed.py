@@ -301,60 +301,48 @@ def simplicial_decomposition(tensor: FimTensor, budget,
     if not math.isfinite(phi):
         raise Infeasible("uniform design has a singular information matrix")
 
-    generators = [w.copy()]            # uniform start rides along as a generator
-    is_vertex = [False]
-    gen_mats = [problem.combine(w)]
+    # generator rows and their reduced matrices; the uniform start rides along
+    # as the only row that is not binary (0 < c / n_idx < 1)
+    gens = w[None]
+    mats = problem.combine(w)[None]
     gamma = np.array([1.0])
 
     phi_history = [phi]
     dw_history = []
     converged = False
-    n_outer = 0
 
     for n_outer in range(1, MAX_OUTER_DEFAULT + 1):
-        grad = problem.gradient(w)
-        vertex = vertex_oracle(grad, c)
-
-        is_new = not any(flag and np.array_equal(vertex, g)
-                         for g, flag in zip(generators, is_vertex))
+        vertex = vertex_oracle(problem.gradient(w), c)
+        is_new = not (gens == vertex).all(axis=1).any()
         if is_new:
             vertex_mat = problem.combine(vertex)
             current_mat = problem.combine(w)
             # backtracking seed toward the new vertex keeps phi monotone
-            accepted = None
-            for delta in (0.5, 0.25, 0.1, 0.05, 0.01, 0.001):
-                trial = ReducedProblem.phi_of(
-                    (1.0 - delta) * current_mat + delta * vertex_mat)
-                if trial < phi:
-                    accepted = delta
-                    break
-            delta = accepted if accepted is not None else 0.0
-            generators.append(vertex)
-            is_vertex.append(True)
-            gen_mats.append(vertex_mat)
-            gamma = np.concatenate([(1.0 - delta) * gamma, [delta]])
+            delta = next((d for d in (0.5, 0.25, 0.1, 0.05, 0.01, 0.001)
+                          if ReducedProblem.phi_of((1.0 - d) * current_mat
+                                                   + d * vertex_mat) < phi), 0.0)
+            gens = np.vstack([gens, vertex])
+            mats = np.concatenate([mats, vertex_mat[None]])
+            gamma = np.append((1.0 - delta) * gamma, delta)
 
-        gamma, master_done = torsney_master(np.stack(gen_mats), gamma,
-                                            master_tol, MASTER_MAX_ITER_DEFAULT)
+        gamma, master_done = torsney_master(mats, gamma, master_tol,
+                                            MASTER_MAX_ITER_DEFAULT)
 
-        # drop generators whose barycentric weight has vanished
+        # drop generators whose barycentric weight has vanished; gamma sums
+        # to one, so some generator always stays
         keep = gamma > PRUNE_TOL
-        if not keep.all() and keep.sum() >= 1:
-            generators = [g for g, k in zip(generators, keep) if k]
-            is_vertex = [f for f, k in zip(is_vertex, keep) if k]
-            gen_mats = [m for m, k in zip(gen_mats, keep) if k]
+        if not keep.all():
+            gens, mats = gens[keep], mats[keep]
             gamma = gamma[keep] / gamma[keep].sum()
 
-        w_new = np.einsum("j,jk->k", gamma, np.stack(generators))
+        w_new = np.einsum("j,jk->k", gamma, gens)
         phi_new = problem.phi(w_new)
         dw_history.append(float(np.abs(w_new - w).sum()))
         phi_history.append(phi_new)
         w, phi = w_new, phi_new
 
-        design = Design(weights=np.clip(w, 0.0, 1.0), budget=float(c),
-                        n_obs=tensor.n_obs, n_time=tensor.n_time,
-                        provenance="optimized")
-        xi, violations = problem.residual(design.weights, design.budget)
+        weights = np.clip(w, 0.0, 1.0)
+        xi, violations = problem.residual(weights, c)
         if violations.max() <= tol_outer * xi:
             converged = True
             break
@@ -363,9 +351,12 @@ def simplicial_decomposition(tensor: FimTensor, budget,
     else:
         raise MaxIterations(f"no certificate after {MAX_OUTER_DEFAULT} outer iterations")
 
+    design = Design(weights=weights, budget=float(c),
+                    n_obs=tensor.n_obs, n_time=tensor.n_time, provenance="optimized")
+    n_vertices = int(np.isin(gens, (0.0, 1.0)).all(axis=1).sum())
     # the eigen-analysis sees the unclipped weights
     return _result(problem, design, (xi, violations), w, phi_history, dw_history,
-                   converged, n_outer, int(np.sum(is_vertex)))
+                   converged, n_outer, n_vertices)
 
 
 def solve_spatial(tensor: FimTensor, budget, **kwargs) -> OEDResult:

@@ -243,6 +243,17 @@ def result_summary(result: oed.OEDResult):
     }
 
 
+def _write_lines(path, lines):
+    """Write `lines` as an ASCII text file, each line newline-terminated."""
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _write_json(path, payload):
+    """Write `payload` as ASCII JSON: indent 2, sorted keys, trailing newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="ascii")
+
+
 def _write_weights_csv(path, result):
     design = result.design
     w = design.weights.reshape(design.n_obs, design.n_time)
@@ -250,7 +261,7 @@ def _write_weights_csv(path, result):
     for k in range(design.n_obs):
         for li in range(design.n_time):
             lines.append(f"{k},{li},{_fmt(w[k, li])}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(path, lines)
 
 
 def _write_eigenvalues_csv(path, result):
@@ -259,7 +270,7 @@ def _write_eigenvalues_csv(path, result):
     for rank, idx in enumerate(order, start=1):
         lam = result.eigenvalues[idx]
         lines.append(f"{rank},{_fmt(lam)},{_fmt(1.0 / lam)}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(path, lines)
 
 
 def _write_history_csv(path, result):
@@ -268,7 +279,7 @@ def _write_history_csv(path, result):
         dw = result.dw_history[i - 1] if 0 < i <= len(result.dw_history) else math.nan
         dw_text = "" if math.isnan(dw) else _fmt(dw)
         lines.append(f"{i},{_fmt(phi)},{dw_text}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(path, lines)
 
 
 def _write_result_json(path, result):
@@ -279,8 +290,7 @@ def _write_result_json(path, result):
     payload["eigenvectors"] = [[float(x) for x in row] for row in result.eigenvectors]
     payload["phi_history"] = [float(x) for x in result.phi_history]
     payload["dw_history"] = [float(x) for x in result.dw_history]
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="ascii")
+    _write_json(path, payload)
 
 
 def _write_report_json(path, config, report, result):
@@ -293,8 +303,7 @@ def _write_report_json(path, config, report, result):
         "config": canonical_dict(config),
         "oed": result_summary(result),
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="ascii")
+    _write_json(path, payload)
 
 
 def run_pipeline(config: Config, out_dir, cache_dir=None, log=True) -> RunReport:
@@ -333,8 +342,7 @@ def compare_cases(configs, out_dir, cache_dir=None, log=True):
     header = "case,phi" + "".join(f",lambda_inv_{i + 1}" for i in range(n_basis))
     lines = [header]
     for case, phi, recip in rows:
-        lines.append(case + "," + _fmt(phi) + ""
-                     + "".join("," + _fmt(x) for x in recip))
+        lines.append(case + "," + _fmt(phi) + "".join("," + _fmt(x) for x in recip))
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "compare.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(out_dir / "compare.csv", lines)
     return rows

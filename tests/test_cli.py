@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -224,6 +225,41 @@ class TestConfig:
         # and a non-object top level the object's
         walker, reference = error_paths(raw)
         assert walker[:1] == reference[:1] == ([path] if path else [])
+
+    @pytest.mark.parametrize("source", [[], None, 2.5])
+    def test_source_neither_dict_file_nor_path(self, source):
+        with pytest.raises(ConfigError, match=r"^\$: expected a dict"):
+            config.load_config(source)
+
+    def test_descriptor_is_not_a_path(self, tmp_path):
+        # an int would open as a file descriptor: load_config must neither
+        # read the caller's file nor close it
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+
+        def is_open(fd):
+            try:
+                os.fstat(fd)
+            except OSError:
+                return False
+            return True
+
+        with open(path, encoding="utf-8") as fh:
+            for fd in (3, fh.fileno()):
+                was_open = is_open(fd)
+                with pytest.raises(ConfigError, match=r"^\$: expected a dict"):
+                    config.load_config(fd)
+                assert is_open(fd) == was_open
+            assert fh.read() == "{}"
+
+    def test_file_object(self, tmp_path):
+        path = write_config(tmp_path, {"physics": {"n_steps": 5}})
+        with open(path, encoding="utf-8") as fh:
+            assert config.load_config(fh).physics.n_steps == 5
+        assert config.load_config(io.StringIO('{"physics": {"n_steps": 4}}')) \
+            .physics.n_steps == 4
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            config.load_config(io.StringIO("{"))
 
     def test_shipped_schema_is_valid_json_schema(self):
         jsonschema.Draft202012Validator.check_schema(config.SCHEMA)
