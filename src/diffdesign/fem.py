@@ -12,19 +12,19 @@ field-independent terms of each step's load once per step, and the block
 marches with one CG solve per time step into one `Trajectory` with
 (k, n_steps + 1, n_nodes) values. The fields are independent, so the block
 is split into one contiguous group of rows per usable CPU (the process's
-affinity mask): the calling process marches the first group and one forked
-child per other group writes its rows into the same shared array. Each row
-is bitwise that of its field marched alone, so the split never changes a
-bit of the result.
+affinity mask): the calling process marches the first group and one worker
+of a fork-context `concurrent.futures` process pool per other group writes
+its rows into the same shared array. Each row is bitwise that of its field
+marched alone, so the split never changes a bit of the result.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-import pickle
-import signal
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 
 import numpy as np
 import scipy.sparse as sp
@@ -200,77 +200,63 @@ def _usable_cpus():
 
 
 def _shared_zeros(shape):
-    """Zeroed float array in an anonymous shared mapping: what a forked child
-    writes into it is what the parent reads."""
+    """Zeroed float array in an anonymous shared mapping: what a forked
+    worker writes into it is what the parent reads."""
     count = int(np.prod(shape))
     return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=float,
                          count=count).reshape(shape)
 
 
-def _fork_group(march, rows):
-    """Fork a child that runs march(rows, alive) and leaves through
-    os._exit, so it never flushes inherited stdio buffers or runs atexit
-    hooks. Returns (pid, read end of a pipe that carries the pickled
-    exception the child raised, and nothing when it succeeded).
+_worker = None                  # (march, alive), set in each pool worker only
 
-    `alive`, called once per time step, ends the child when its parent is
-    gone, so a killed parent leaves no orphan marching on.
-    """
-    parent = os.getpid()
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    status = 1
-    try:
-        os.close(read_end)
 
-        def alive():
-            if os.getppid() != parent:
-                os._exit(1)
+def _start_worker(march, stop, parent):
+    """Pool initializer: the worker marches with an `alive` check, called
+    once per time step, that ends the worker when its parent is gone (so a
+    killed parent leaves no orphan marching on) and raises once the parent
+    has set the shared `stop` flag."""
+    global _worker
 
-        march(rows, alive)
-        status = 0
-    except BaseException as err:
-        with os.fdopen(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(err))
-    finally:
-        os._exit(status)
+    def alive():
+        if os.getppid() != parent:
+            os._exit(1)
+        if stop[0]:
+            raise RuntimeError("sensitivity march stopped by an error in another group")
+
+    _worker = (march, alive)
+
+
+def _run_group(rows):
+    """Pool task: march `rows` in this worker."""
+    march, alive = _worker
+    march(rows, alive)
 
 
 def _march_groups(k, march):
     """Run march(rows, alive) over min(k, usable CPUs) contiguous row groups
-    of range(k): one forked child per group but the first, which this
-    process marches itself. Reaps every child, then raises the first
-    group's error; if this process raises first, its children are killed
-    and reaped."""
+    of range(k): this process marches the first group and a fork-context
+    process pool the others, one worker each. Raises the first group's
+    error with its type and message (a dead worker's as `BrokenProcessPool`,
+    a `RuntimeError`); on any error the workers stop within one time step,
+    and all of them are reaped before this returns or raises. The pool
+    flushes stdio before it forks and its workers leave through os._exit,
+    so no buffered output is written twice."""
     groups = [slice(g[0], g[-1] + 1)
               for g in np.array_split(np.arange(k), min(k, _usable_cpus()))]
-    pending = []                    # (pid, pipe read end) not yet reaped
-    ended = []                      # (pid, pickled error, wait status)
-    try:
-        for rows in groups[1:]:
-            pending.append(_fork_group(march, rows))
-        march(groups[0], lambda: None)
-        while pending:
-            pid, read_end = pending[0]
-            with os.fdopen(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            pending.pop(0)
-            os.close(read_end)
-            ended.append((pid, payload, status))
-    finally:
-        for pid, read_end in pending:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_end)
-    for pid, payload, status in ended:
-        if payload:
-            raise pickle.loads(payload)
-        if status != 0:
-            raise RuntimeError(f"sensitivity worker {pid} ended with wait status {status}")
+    stop = _shared_zeros(1)
+    # fork passes initargs unpickled: no operator, trajectory or closure is pickled
+    with ProcessPoolExecutor(max_workers=max(len(groups) - 1, 1),
+                             mp_context=get_context("fork"),
+                             initializer=_start_worker,
+                             initargs=(march, stop, os.getpid())) as pool:
+        futures = [pool.submit(_run_group, rows) for rows in groups[1:]]
+        try:
+            march(groups[0], lambda: None)
+            for future in futures:
+                future.result()
+        except BaseException:
+            stop[0] = 1
+            raise
 
 
 def solve_sensitivity(ops: HeatOperators, forward: Trajectory,
@@ -280,10 +266,10 @@ def solve_sensitivity(ops: HeatOperators, forward: Trajectory,
 
     Same left-hand operator as the forward solve with homogeneous Dirichlet
     data; starts from zero. The fields march in contiguous groups, one per
-    usable CPU: this process marches the first and a forked child each other
-    group, every group one block solve per step. Each row is bitwise that
-    of its field marched alone, whatever the number of groups. A child's
-    error is raised here with its type and message.
+    usable CPU: this process marches the first and a process-pool worker
+    each other group, every group one block solve per step. Each row is
+    bitwise that of its field marched alone, whatever the number of groups.
+    A worker's error is raised here with its type and message.
     """
     tau = forward.tau
     n = len(ops.mesh.nodes)

@@ -219,10 +219,13 @@ class Pipeline:
                             lambda p: mesh_io.write_vtk(grid, {"velocity": values}, p))
 
     def run(self) -> RunReport:
-        self.result()
+        result = self.result()
         self.write_outputs()
-        summary = result_summary(self.result())
-        self.report.oed_summary = summary
+        self.report.oed_summary = result_summary(result)
+        if self.config.design.optimize and not result.converged:
+            self._info(f"warning: case {self.config.case}: the optimizer stopped at "
+                       f"n_outer = {result.n_outer} without its optimality "
+                       "certificate (converged: false)")
         return self.report
 
 

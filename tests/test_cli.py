@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -612,6 +613,28 @@ class TestCli:
         code = cli.main(["compare", str(a), str(b), "--out", str(tmp_path / "cmp")])
         assert code == 0
         assert (tmp_path / "cmp" / "compare.csv").exists()
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_uncertified_optimum_warns(self, tmp_path, monkeypatch, capsys, certified):
+        # one warning per optimized case without its certificate; the uniform
+        # case is never optimized and its result is never certified
+        real = pipeline.Pipeline.result
+        if not certified:
+            monkeypatch.setattr(pipeline.Pipeline, "result",
+                                lambda self: dataclasses.replace(real(self), converged=False))
+        opt, uni = tmp_path / "opt.json", tmp_path / "uni.json"
+        opt.write_text(write_config(tmp_path, case="opt").read_text())
+        uni.write_text(write_config(tmp_path, case="uni", **{"design.optimize": False})
+                       .read_text())
+        assert cli.main(["pipeline", "--config", str(opt), "--out",
+                         str(tmp_path / "one")]) == 0
+        assert cli.main(["compare", str(opt), str(uni), "--out", str(tmp_path / "cmp")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        n_outer = json.loads((tmp_path / "one" / "oed_result.json").read_text())["n_outer"]
+        expected = (f"warning: case opt: the optimizer stopped at n_outer = {n_outer} "
+                    "without its optimality certificate (converged: false)")
+        assert warnings == ([] if certified else [expected, expected])
 
     def test_compare_same_config_twice_exit_code(self, tmp_path, capsys):
         a = write_config(tmp_path)

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -330,7 +332,7 @@ def fail_cg_in(monkeypatch, side):
 
 class TestGroupedMarch:
     """The fields march in one contiguous group per usable CPU: this process
-    the first, a forked child each other."""
+    the first, a worker of a fork-context process pool each other."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_any_group_count_gives_the_same_bits(self, fixture_problem, monkeypatch,
@@ -371,9 +373,48 @@ class TestGroupedMarch:
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
         monkeypatch.setattr(fem, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "getppid", lambda: -1)
-        with pytest.raises(RuntimeError, match="ended with wait status 256"):
+        with pytest.raises(RuntimeError, match="terminated abruptly"):
             fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
         assert_no_child_left()
+
+    def test_killed_worker_raises(self, fixture_problem, monkeypatch):
+        _, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: 2)
+        here, real, steps = os.getpid(), fem.cg_solve, []
+
+        def cg_solve(*args, **kwargs):
+            if os.getpid() != here:
+                steps.append(1)
+                if len(steps) == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "cg_solve", cg_solve)
+        with pytest.raises(RuntimeError):
+            fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        assert_no_child_left()
+
+    def test_parent_error_stops_workers(self, fixture_problem, monkeypatch):
+        # unstopped, the worker would take 8 x 0.1 s to reach its last step
+        _, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: 2)
+        reached = fem._shared_zeros(1)     # steps the worker has solved
+        here, real = os.getpid(), fem.cg_solve
+
+        def cg_solve(*args, **kwargs):
+            if os.getpid() == here:
+                raise NoConvergence("CG stalled in the parent")
+            time.sleep(0.1)
+            reached[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "cg_solve", cg_solve)
+        with pytest.raises(NoConvergence, match="CG stalled in the parent"):
+            fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        assert_no_child_left()
+        assert reached[0] < 8
 
 
 class TestFdOracle:
