@@ -20,9 +20,12 @@ marched alone, so the split never changes a bit of the result.
 
 from __future__ import annotations
 
+import ctypes
 import mmap
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
@@ -212,9 +215,9 @@ _worker = None                  # (march, alive), set in each pool worker only
 
 def _start_worker(march, stop, parent):
     """Pool initializer: the worker marches with an `alive` check, called
-    once per time step, that ends the worker when its parent is gone (so a
-    killed parent leaves no orphan marching on) and raises once the parent
-    has set the shared `stop` flag."""
+    once per time step, that ends it when its parent is gone and raises once
+    the parent has set the shared `stop` flag. On Linux the kernel also kills
+    an idle worker with its parent, so a killed parent leaves no orphan."""
     global _worker
 
     def alive():
@@ -223,6 +226,10 @@ def _start_worker(march, stop, parent):
         if stop[0]:
             raise RuntimeError("sensitivity march stopped by an error in another group")
 
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl:
+        prctl(1, signal.SIGKILL)    # PR_SET_PDEATHSIG
+    alive()                         # the parent may have died before prctl
     _worker = (march, alive)
 
 
@@ -235,21 +242,24 @@ def _run_group(rows):
 def _march_groups(k, march):
     """Run march(rows, alive) over min(k, usable CPUs) contiguous row groups
     of range(k): this process marches the first group and a fork-context
-    process pool the others, one worker each. Raises the first group's
+    process pool the others, one worker each; one group makes no pool, so a
+    serial march needs neither fork nor semaphores. Raises the first group's
     error with its type and message (a dead worker's as `BrokenProcessPool`,
     a `RuntimeError`); on any error the workers stop within one time step,
-    and all of them are reaped before this returns or raises. The pool
-    flushes stdio before it forks and its workers leave through os._exit,
-    so no buffered output is written twice."""
+    and all are reaped before this returns or raises. The pool flushes stdio
+    before it forks and its workers leave through os._exit, so no buffered
+    output is written twice."""
     groups = [slice(g[0], g[-1] + 1)
               for g in np.array_split(np.arange(k), min(k, _usable_cpus()))]
     stop = _shared_zeros(1)
-    # fork passes initargs unpickled: no operator, trajectory or closure is pickled
-    with ProcessPoolExecutor(max_workers=max(len(groups) - 1, 1),
-                             mp_context=get_context("fork"),
-                             initializer=_start_worker,
-                             initargs=(march, stop, os.getpid())) as pool:
-        futures = [pool.submit(_run_group, rows) for rows in groups[1:]]
+    with ExitStack() as workers:
+        futures = []
+        if groups[1:]:
+            # fork passes initargs unpickled: no operator, trajectory or closure is pickled
+            pool = workers.enter_context(ProcessPoolExecutor(
+                max_workers=len(groups) - 1, mp_context=get_context("fork"),
+                initializer=_start_worker, initargs=(march, stop, os.getpid())))
+            futures = [pool.submit(_run_group, rows) for rows in groups[1:]]
         try:
             march(groups[0], lambda: None)
             for future in futures:

@@ -1,7 +1,11 @@
 import dataclasses
 import os
+import select
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from diffdesign import fem, mesh, shape
 from diffdesign.errors import NoConvergence
 
 from test_shape import rows
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class MeshInversion(Exception):
@@ -357,6 +363,14 @@ class TestGroupedMarch:
             assert np.array_equal(row, expected)
         assert_no_child_left()
 
+    def test_serial_march_makes_no_pool(self, fixture_problem, monkeypatch):
+        # one group needs neither fork nor the pool's semaphores
+        _, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(fem, "ProcessPoolExecutor", None)
+        fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+
     @pytest.mark.parametrize("side", ["child", "parent"])
     def test_error_raised_and_children_reaped(self, fixture_problem, monkeypatch, side):
         _, ops, fields = fixture_problem
@@ -368,11 +382,21 @@ class TestGroupedMarch:
         assert_no_child_left()
 
     def test_child_stops_when_its_parent_is_gone(self, fixture_problem, monkeypatch):
-        # a child whose parent was killed sees another parent pid
+        # a worker whose parent was killed sees another parent pid; here from
+        # its first time step on, after the check at its start
         _, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
         monkeypatch.setattr(fem, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(os, "getppid", lambda: -1)
+        here, real, calls = os.getpid(), os.getppid, []
+
+        def getppid():
+            if os.getpid() != here:
+                calls.append(1)
+                if len(calls) > 1:
+                    return -1
+            return real()
+
+        monkeypatch.setattr(os, "getppid", getppid)
         with pytest.raises(RuntimeError, match="terminated abruptly"):
             fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
         assert_no_child_left()
@@ -391,7 +415,7 @@ class TestGroupedMarch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fem, "cg_solve", cg_solve)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="terminated abruptly"):
             fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
         assert_no_child_left()
 
@@ -414,7 +438,75 @@ class TestGroupedMarch:
         with pytest.raises(NoConvergence, match="CG stalled in the parent"):
             fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
         assert_no_child_left()
-        assert reached[0] < 8
+        assert reached[0] <= 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's prctl")
+    def test_idle_worker_exits_with_its_killed_parent(self, tmp_path):
+        # the worker finishes its group and idles on the pool's call queue
+        # while its parent is still in the first of its steps; the parent
+        # is then killed. The worker shares the parent's stdout, so the
+        # pipe ends only once the worker is gone too
+        with (tmp_path / "stderr").open("wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", IDLE_WORKER_SCRIPT], stdout=subprocess.PIPE,
+                stderr=err, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        worker = None
+        try:
+            line = proc.stdout.readline()
+            assert line, (tmp_path / "stderr").read_text()
+            worker = int(line)
+            proc.kill()
+            proc.wait()
+            assert select.select([proc.stdout], [], [], 30.0)[0], "stdout stays open"
+            assert proc.stdout.read() == b""
+            deadline = time.monotonic() + 30.0
+            while running(worker) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not running(worker)
+        finally:
+            if worker is not None and running(worker):
+                os.kill(worker, signal.SIGKILL)
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+
+IDLE_WORKER_SCRIPT = """
+import os, time
+import numpy as np
+from diffdesign import fem, mesh, shape
+
+angles = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+poly = 0.5 + 0.1 * np.column_stack([np.cos(angles), np.sin(angles)])
+m = mesh.build_mesh(mesh.GeometrySpec(inclusion_polygon=poly, sensors=[], h=0.09))
+ops = fem.assemble_heat(m)
+curve = shape.interface_from_mesh(m)
+fields = shape.extend_velocity(m, curve, shape.gaussian_bump_basis(curve, 3))
+forward = fem.solve_forward(ops, horizon=10.0, n_steps=4)
+here, real_run, real_cg = os.getpid(), fem._run_group, fem.cg_solve
+
+def run_group(rows):
+    real_run(rows)
+    print(os.getpid(), flush=True)
+
+def cg_solve(*args, **kwargs):
+    if os.getpid() == here:
+        time.sleep(600)
+    return real_cg(*args, **kwargs)
+
+fem._usable_cpus, fem._run_group, fem.cg_solve = (lambda: 2), run_group, cg_solve
+fem.solve_sensitivity(ops, forward, fields)
+"""
+
+
+def running(pid):
+    """`pid` is a live process: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestFdOracle:
