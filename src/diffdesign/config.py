@@ -252,33 +252,14 @@ def check_sensitivity_size(cfg: Config, n_nodes):
                           f"{MAX_SENSITIVITY_BYTES / 1024 ** 3:.0f} GiB")
 
 
-def _geometry_from_dict(raw):
-    spec = GeometrySpec()
-    if "holdall" in raw:
-        spec.holdall = tuple(float(x) for x in raw["holdall"])
-    if "inclusion_polygon" in raw:
-        spec.inclusion_polygon = np.asarray(raw["inclusion_polygon"], dtype=float)
-        spec.spline_control = None
-    elif "spline_control" in raw:
-        spec.spline_control = np.asarray(raw["spline_control"], dtype=float)
-    else:
-        spec.spline_control = DEFAULT_INCLUSION_CONTROL.copy()
-    spec.spline_samples = int(raw.get("spline_samples", spec.spline_samples))
-    if "sensors" in raw:
-        spec.sensors = [tuple(float(x) for x in box) for box in raw["sensors"]]
-    spec.dirichlet_side = raw.get("dirichlet_side", spec.dirichlet_side)
-    spec.robin_spans = [RobinSpan(side=r["side"], lo=float(r["lo"]),
-                                  hi=float(r["hi"]), beta=float(r["beta"]))
-                        for r in raw.get("robin_spans", [])]
-    spec.h = float(raw.get("h", spec.h))
-    spec.node_cap = int(raw.get("node_cap", spec.node_cap))
-    return spec
-
-
-def _fill(dc, raw):
-    for key, value in raw.items():
-        setattr(dc, key, value)
-    return dc
+def _typed(value, schema):
+    """Fresh copy of `value`, which `schema` has accepted, with every
+    "number" a float, so 10 and 10.0 give one config."""
+    if isinstance(value, dict):
+        return {key: _typed(item, schema["properties"][key]) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_typed(item, schema["items"]) for item in value]
+    return float(value) if schema.get("type") == "number" else value
 
 
 def _read_json(source):
@@ -314,14 +295,20 @@ def load_config(source) -> Config:
         path, message = errors[0]
         raise ConfigError(f"{path}: {message}")
 
-    cfg = Config()
-    cfg.geometry = _geometry_from_dict(raw.get("geometry", {}))
-    _fill(cfg.physics, raw.get("physics", {}))
-    _fill(cfg.basis, raw.get("basis", {}))
-    _fill(cfg.noise, raw.get("noise", {}))
-    _fill(cfg.design, raw.get("design", {}))
-    cfg.case = raw.get("case", cfg.case)
-    cfg.write_fields = raw.get("output", {}).get("write_fields", cfg.write_fields)
+    doc = _typed(raw, SCHEMA)
+    geometry = doc.get("geometry", {})
+    if "inclusion_polygon" in geometry:
+        geometry["spline_control"] = None
+    elif "spline_control" not in geometry:
+        geometry["spline_control"] = DEFAULT_INCLUSION_CONTROL.copy()
+    geometry["robin_spans"] = [RobinSpan(**span) for span in geometry.get("robin_spans", [])]
+    cfg = Config(geometry=GeometrySpec(**geometry),
+                 physics=PhysicsConfig(**doc.get("physics", {})),
+                 basis=BasisConfig(**doc.get("basis", {})),
+                 noise=NoiseConfig(**doc.get("noise", {})),
+                 design=DesignConfig(**doc.get("design", {})))
+    cfg.case = doc.get("case", cfg.case)
+    cfg.write_fields = doc.get("output", {}).get("write_fields", cfg.write_fields)
 
     try:
         cfg.geometry.validate()

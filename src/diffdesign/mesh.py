@@ -687,7 +687,9 @@ class GeometrySpec:
     """Geometry of the experiment on the unit square.
 
     The inclusion is either an explicit closed polygon or a closed uniform
-    cubic B-spline given by control points and sampled uniformly.
+    cubic B-spline given by control points and sampled uniformly. Boxes and
+    point lists may be tuples, lists or arrays: every reader unpacks them or
+    goes through np.asarray.
     """
 
     holdall: tuple = (0.35, 0.35, 0.65, 0.65)

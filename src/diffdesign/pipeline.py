@@ -201,7 +201,9 @@ class Pipeline:
         result = self.result()
         grid = mesh_io.vtk_grid(self.mesh())
         self.write_mesh_files(grid)
-        self._write("weights.csv", lambda p: _write_weights_csv(p, result))
+        # a spatial design's one column of weights stands at instant 0
+        instants = self.config.instants() if self.config.design.mode == "space-time" else [0]
+        self._write("weights.csv", lambda p: _write_weights_csv(p, result, instants))
         self._write("eigenvalues.csv", lambda p: _write_eigenvalues_csv(p, result))
         self._write("history.csv", lambda p: _write_history_csv(p, result))
         self._write("oed_result.json", lambda p: _write_result_json(p, result))
@@ -257,13 +259,15 @@ def _write_json(path, payload):
                     encoding="ascii")
 
 
-def _write_weights_csv(path, result):
+def _write_weights_csv(path, result, instants):
+    """One row per (sensor, time step) weight; `instants` names the step of
+    each column of the design."""
     design = result.design
     w = design.weights.reshape(design.n_obs, design.n_time)
     lines = ["sensor,instant,weight"]
     for k in range(design.n_obs):
         for li in range(design.n_time):
-            lines.append(f"{k},{li},{_fmt(w[k, li])}")
+            lines.append(f"{k},{instants[li]},{_fmt(w[k, li])}")
     _write_lines(path, lines)
 
 

@@ -179,6 +179,33 @@ class TestConfig:
         assert config.tensor_hash(base) == config.tensor_hash(changed)
         assert config.config_hash(base) != config.config_hash(changed)
 
+    @pytest.mark.parametrize("integral, decimal", [
+        ({"physics": {"horizon": 10}}, {}),
+        ({"basis": {"slope": 100}}, {"basis": {"slope": 100.0}}),
+        ({"geometry": {"robin_spans": [{"side": "bottom", "lo": 0, "hi": 1, "beta": 10}]}},
+         {"geometry": {"robin_spans": [{"side": "bottom", "lo": 0.0, "hi": 1.0,
+                                        "beta": 10.0}]}}),
+    ])
+    def test_integral_numbers_hash_as_floats(self, integral, decimal):
+        # a "number" field holds a float, so 10 and 10.0 give one config and
+        # share one tensor cache entry
+        a, b = config.load_config(integral), config.load_config(decimal)
+        assert config.config_hash(a) == config.config_hash(b)
+        assert config.tensor_hash(a) == config.tensor_hash(b)
+
+    def test_keeps_no_reference_to_its_input(self):
+        raw = {"geometry": {"spline_control": mesh.DEFAULT_INCLUSION_CONTROL.tolist(),
+                            "robin_spans": [{"side": "bottom", "lo": 0.0, "hi": 0.5,
+                                             "beta": 10.0}]},
+               "design": {"instants": [0, 5, 20]}}
+        cfg = config.load_config(raw)
+        before = config.config_hash(cfg), config.tensor_hash(cfg)
+        raw["design"]["instants"].append(99)
+        raw["geometry"]["spline_control"][0][0] = 0.5
+        raw["geometry"]["robin_spans"][0]["beta"] = 1.0
+        assert cfg.instants() == [0, 5, 20]
+        assert (config.config_hash(cfg), config.tensor_hash(cfg)) == before
+
     def test_shipped_schema_in_sync(self):
         import pathlib
         doc = pathlib.Path(__file__).resolve().parents[1] / "docs" / "config.schema.json"
@@ -383,6 +410,19 @@ class TestPipeline:
         for name in fields:
             first = (tmp_path / "a" / "fields" / name).read_bytes()
             assert first == (tmp_path / "b" / "fields" / name).read_bytes(), name
+
+    def test_weights_name_the_time_step(self, tmp_path):
+        # space-time columns are the design's instants; a spatial design has
+        # one column, at instant 0
+        raw = {**FAST_CONFIG, "physics": {"n_steps": 16}, "design": {"instants": [4, 9, 15]}}
+        for mode, budget, instants in (("space-time", 3, ["4", "9", "15"]),
+                                       ("spatial", 1, ["0"])):
+            raw["design"].update(mode=mode, budget=budget)
+            pipeline.run_pipeline(config.load_config(raw), tmp_path / mode,
+                                  cache_dir=tmp_path / "cache", log=False)
+            rows = (tmp_path / mode / "weights.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[:2] for row in rows] == \
+                [[str(k), step] for k in range(2) for step in instants]
 
     def test_report_has_no_volatile_fields(self, fast_run):
         out, _, _ = fast_run
