@@ -6,21 +6,24 @@ walker checks the keywords it uses, so validation imports no third-party
 package, and reports the offending JSON path. Hashing covers every field
 that influences numerics so cached tensors are invalidated by any
 meaningful change. The tensor hash is the subset of fields the elementary
-FIMs depend on (geometry, physics, basis, noise, measurement instants);
-optimizer tolerances only enter the full config hash.
+FIMs depend on (geometry, physics, basis, noise, measurement instants) and
+the package source; optimizer tolerances only enter the full config hash.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
 import numbers
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import fem, fim, oed, shape
 from .errors import ConfigError
@@ -124,24 +127,23 @@ SCHEMA = {
 }
 
 
-def _is_number(x):
-    # JSON numbers are finite: Python's json module still parses NaN and
-    # Infinity, so "number" excludes them explicitly
-    return (isinstance(x, numbers.Number) and not isinstance(x, bool)
-            and (isinstance(x, int) or math.isfinite(x)))
+def _is_double(x, kind):
+    # abs(x) <= the largest double rules out NaN, the infinities (which
+    # Python's json module still parses) and integers no float can hold
+    return isinstance(x, kind) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-#: JSON Schema type name -> test. JSON Schema counts 3.0 as an integer, but
-#: the pipeline needs Python ints (grid sizes, counts, indices), so "integer"
-#: admits only those
+#: JSON Schema type name -> test. Numbers must fit a double. JSON Schema
+#: counts 3.0 as an integer, but the pipeline needs Python ints (grid sizes,
+#: counts, indices), so "integer" admits only those
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
     "boolean": lambda x: isinstance(x, bool),
     "null": lambda x: x is None,
-    "number": _is_number,
-    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "number": lambda x: _is_double(x, numbers.Real),
+    "integer": lambda x: _is_double(x, int),
 }
 #: bound keyword -> (type it applies to, violated(value, bound), message)
 _BOUNDS = {
@@ -365,13 +367,19 @@ def config_hash(cfg: Config) -> str:
     return _sha(canonical_dict(cfg))
 
 
+@functools.cache
+def _code_digest():
+    """Hash of this package's modules, by name, and of the numpy and scipy versions."""
+    modules = Path(__file__).parent.glob("*.py")
+    return _sha({"numpy": np.__version__, "scipy": scipy.__version__,
+                 **{p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in modules}})
+
+
 def tensor_hash(cfg: Config) -> str:
-    """Hash of the fields the elementary FIM tensor depends on, and of the
-    version of the code that builds it."""
+    """Hash of the fields the elementary FIM tensor depends on and of the code that builds it."""
     full = canonical_dict(cfg)
-    subset = {k: full[k] for k in ("geometry", "physics", "basis", "noise", "instants")}
-    subset["tensor_version"] = fim.TENSOR_VERSION
-    return _sha(subset)
+    return _sha({"code": _code_digest(),
+                 **{k: full[k] for k in ("geometry", "physics", "basis", "noise", "instants")}})
 
 
 def comparison_case_dicts():

@@ -86,4 +86,4 @@ class ConfigError(DiffDesignError):
 
 
 class CacheMismatch(DiffDesignError):
-    """Cached tensor was produced under a different configuration."""
+    """Cached tensor was produced under a different configuration or code."""

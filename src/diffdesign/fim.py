@@ -10,9 +10,8 @@ the patch and whitened for all basis fields at once, with one sparse product
 per (sensor, instant) pair. The combined matrix is the weighted sum of the
 elementary matrices in a fixed (sensor, instant) row-major enumeration.
 
-The tensor cache is a numpy ``.npz`` archive keyed by the tensor hash of the
-config. A file that is not a complete, intact cache written by this
-TENSOR_VERSION for that key raises CacheMismatch, so the caller rebuilds.
+The tensor cache is a numpy ``.npz`` archive keyed by `config.tensor_hash`; a
+file that is not a complete, intact cache for that key raises CacheMismatch.
 """
 
 from __future__ import annotations
@@ -159,15 +158,9 @@ def spatial_tensor(tensor: FimTensor) -> FimTensor:
 
 # -- tensor cache -------------------------------------------------------------
 
-#: version of the cached tensor: raise it whenever a code change alters the
-#: bytes of a tensor built from the same config (or the file layout), so the
-#: cache never serves a tensor built by other code
-TENSOR_VERSION = 2
-
-
 def save_tensor(tensor: FimTensor, path, config_hash=""):
     """Write the tensor cache as an uncompressed ``.npz`` archive holding
-    ``matrices``, ``gramian``, the config ``key`` and the cache ``version``.
+    ``matrices``, ``gramian`` and the tensor hash as ``key``.
 
     The bytes go to a process-private temporary file in the same directory,
     which then replaces `path` in one step; readers see the old file or the
@@ -179,7 +172,7 @@ def save_tensor(tensor: FimTensor, path, config_hash=""):
         with open(tmp, "wb") as fh:
             np.savez(fh, matrices=np.ascontiguousarray(tensor.matrices, dtype="<f8"),
                      gramian=np.ascontiguousarray(tensor.gramian, dtype="<f8"),
-                     key=np.array(config_hash), version=np.array(TENSOR_VERSION))
+                     key=np.array(config_hash))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -188,21 +181,17 @@ def save_tensor(tensor: FimTensor, path, config_hash=""):
 
 
 def load_tensor(path, expect_hash=None) -> FimTensor:
-    """Read a tensor cache; raises CacheMismatch when the file is not a
-    complete, intact tensor cache of TENSOR_VERSION (each member's CRC-32 is
-    checked on read), its stored key differs from `expect_hash`, or its
-    arrays do not form a tensor."""
+    """Read a tensor cache; raises CacheMismatch when the file is not a complete,
+    intact tensor cache (each member's CRC-32 is checked on read), its stored key
+    differs from `expect_hash`, or its arrays do not form a tensor."""
     try:
         with np.load(path, allow_pickle=False) as npz:
-            mats, gram = npz["matrices"], npz["gramian"]
-            key, version = str(npz["key"]), int(npz["version"])
+            mats, gram, key = npz["matrices"], npz["gramian"], str(npz["key"])
     except (OSError, EOFError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as err:
         raise CacheMismatch(f"{path} is not a FIM tensor cache ({err})") from err
-    if version != TENSOR_VERSION:
-        raise CacheMismatch(f"tensor cache version {version} is not {TENSOR_VERSION}")
     if expect_hash is not None and key != expect_hash:
-        raise CacheMismatch("tensor cache was built from a different config")
+        raise CacheMismatch("tensor cache was built from a different config or code")
     if mats.ndim != 4 or mats.shape[2:] != gram.shape:
         raise CacheMismatch(f"tensor cache shapes {mats.shape} and {gram.shape} disagree")
     return FimTensor(matrices=mats, gramian=gram)

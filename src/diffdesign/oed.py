@@ -89,7 +89,7 @@ class OEDResult:
     eigenvalues: np.ndarray          # ascending generalized eigenvalues
     eigenvectors: np.ndarray         # B-orthonormal columns
     counts: dict
-    converged: bool
+    converged: bool | None           # None: the weights were not optimized
     n_outer: int
     n_vertices: int
 
@@ -255,7 +255,7 @@ def torsney_master(gen_reduced, gamma, tol, max_iter):
 
 
 def _result(problem: ReducedProblem, design: Design, certificate, w, phi_history,
-            dw_history=(), converged=False, n_outer=0, n_vertices=0) -> OEDResult:
+            dw_history=(), converged=None, n_outer=0, n_vertices=0) -> OEDResult:
     """Attach `certificate`, the (xi, violations) `problem.residual` gave for
     `design`, and run the eigen-analysis of the information matrix at the
     weights `w`; phi is the last entry of `phi_history`."""

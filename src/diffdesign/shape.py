@@ -86,8 +86,6 @@ def interface_from_mesh(mesh: Mesh) -> InterfaceCurve:
             break
         loop.append(nxt)
         prev, cur = cur, nxt
-        if len(loop) > len(neighbors):
-            raise MultipleLoops("interface edges contain a sub-loop")
     if len(loop) != len(neighbors):
         raise MultipleLoops("interface has more than one closed loop")
 

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -13,11 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffdesign import cli, config, fem, fim, mesh, pipeline
+from diffdesign import cli, config, fem, fim, mesh, oed, pipeline
 from diffdesign.errors import ConfigError
 
 from test_fem import assert_no_child_left, fail_cg_in
-from test_fim import CORRUPTIONS, corrupt, set_cache_version
+from test_fim import CORRUPTIONS, corrupt, set_cache_key
+from test_oed import synthetic_tensor
 
 # small, fast problem: coarse mesh, 2 sensors, few steps, tiny basis
 FAST_CONFIG = {
@@ -102,20 +105,41 @@ def _values(spec, junk):
 _CONFIG_DICTS = _typed(config.SCHEMA, False) | _typed(config.SCHEMA, True)
 
 # reference validator for config._schema_errors: jsonschema's Draft 2020-12
-# with the same two type redefinitions. JSON numbers are finite: Python's json
-# module still parses NaN and Infinity, so the schema's "number" type excludes
-# them explicitly. JSON Schema counts 3.0 as an integer, but the pipeline
-# needs Python ints (grid sizes, counts, indices), so "integer" admits only
-# those
+# with the same two type redefinitions. Numbers must fit a double: that
+# excludes NaN and Infinity, which Python's json module still parses, and
+# integers too large for a float. JSON Schema counts 3.0 as an integer, but
+# the pipeline needs Python ints (grid sizes, counts, indices), so "integer"
+# admits only those
 _BASE_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
 _REFERENCE = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
     type_checker=_BASE_TYPES.redefine_many({
         "number": lambda checker, x: (_BASE_TYPES.is_type(x, "number")
-                                      and (isinstance(x, int) or math.isfinite(x))),
-        "integer": lambda checker, x: isinstance(x, int) and not isinstance(x, bool),
+                                      and abs(x) <= sys.float_info.max),
+        "integer": lambda checker, x: (isinstance(x, int) and not isinstance(x, bool)
+                                       and abs(x) <= sys.float_info.max),
     }),
 )(config.SCHEMA)
+
+
+_TENSOR_KEYS_SCRIPT = """
+import sys
+for tree in sys.argv[1:]:
+    for name in [m for m in sys.modules if m.partition(".")[0] == "diffdesign"]:
+        del sys.modules[name]
+    sys.path[0] = tree
+    from diffdesign import config
+    print(config.tensor_hash(config.load_config({})))
+"""
+
+
+def tensor_keys_of(trees):
+    """tensor_hash of the default config for each directory in `trees`, in
+    one new process that imports diffdesign afresh from each."""
+    proc = subprocess.run([sys.executable, "-c", _TENSOR_KEYS_SCRIPT, *map(str, trees)],
+                          capture_output=True, text=True, timeout=120, cwd=trees[0])
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 def error_paths(raw):
@@ -172,6 +196,29 @@ class TestConfig:
         changed = config.load_config({"physics": {"kappa_bulk": 0.2}})
         assert config.config_hash(base) != config.config_hash(changed)
         assert config.tensor_hash(base) != config.tensor_hash(changed)
+
+    def test_tensor_hash_covers_package_source(self, tmp_path):
+        # copies of the package: a fresh process on an unchanged copy
+        # computes this process's key, and one byte appended to any module
+        # gives a new key
+        package = Path(config.__file__).parent
+        modules = sorted(p.name for p in package.glob("*.py"))
+        trees = {}
+        for name in ["same", *modules]:
+            trees[name] = tmp_path / name
+            shutil.copytree(package, trees[name] / "diffdesign",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            if name != "same":
+                with open(trees[name] / "diffdesign" / name, "ab") as fh:
+                    fh.write(b"\n")
+        key = config.tensor_hash(config.load_config({}))
+        assert tensor_keys_of([trees["same"]]) == [key]
+        with ThreadPoolExecutor(2) as pool:
+            again, changed = pool.map(tensor_keys_of, [[trees["same"]],
+                                                       [trees[name] for name in modules]])
+        assert again == [key]
+        assert key not in changed
+        assert len(set(changed)) == len(modules)
 
     def test_tensor_hash_ignores_optimizer_fields(self):
         base = config.load_config({})
@@ -247,6 +294,9 @@ class TestConfig:
         ({"design": {"instants": [0, 3, -1]}}, "$.design.instants[2]"),
         ({"design": {"instants": None, "mode": "time"}}, "$.design.mode"),
         ({"design": {"instants": None}}, None),
+        ({"geometry": {"h": 10 ** 400}}, "$.geometry.h"),
+        ({"physics": {"horizon": 10 ** 400}}, "$.physics.horizon"),
+        ({"physics": {"n_steps": 10 ** 400}}, "$.physics.n_steps"),
     ])
     def test_walker_error_path(self, raw, path):
         # value errors carry the value's path; additionalProperties, required
@@ -348,6 +398,15 @@ class TestPipeline:
         recip = summary["reciprocal_eigenvalues"]
         assert abs(sum(recip) - summary["phi"]) <= 1e-8 * abs(summary["phi"])
 
+    def test_uniform_design_not_certified(self, tmp_path):
+        # uniform weights are never optimized, so neither output claims a
+        # certificate or its failure
+        cfg = config.load_config({**FAST_CONFIG, "design": {"budget": 3, "optimize": False}})
+        pipeline.run_pipeline(cfg, tmp_path, log=False)
+        result = json.loads((tmp_path / "oed_result.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert result["converged"] is None and report["oed"]["converged"] is None
+
     def test_rapid_initial_decrease(self, fast_run):
         # the big criterion drops happen in the first outer iterations
         out, _, _ = fast_run
@@ -370,11 +429,12 @@ class TestPipeline:
         (stored,) = (out / "cache").glob("fim-*.tensor")
         stale = cache / stored.name
         stale.write_bytes(stored.read_bytes())
-        set_cache_version(stale, fim.TENSOR_VERSION + 1)
+        set_cache_key(stale, "written by other code")
         pipe = pipeline.Pipeline(cfg, tmp_path / "out", cache_dir=cache)
         pipe.tensor()
         assert pipe.report.fim_cache == "miss"
-        assert "fim: cache rejected (tensor cache version" in capsys.readouterr().err
+        assert ("fim: cache rejected (tensor cache was built from a different config "
+                "or code)") in capsys.readouterr().err
         assert fim.load_tensor(stale).matrices.shape == pipe.tensor().matrices.shape
 
     @pytest.mark.parametrize("how", CORRUPTIONS)
@@ -581,7 +641,7 @@ class TestCli:
 
     def test_non_finite_number_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for token in ("NaN", "Infinity"):
+        for token in ("NaN", "Infinity", "1" + "0" * 400):
             bad.write_text('{"physics": {"kappa_bulk": %s}}' % token)
             code = cli.main(["generate-mesh", "--config", str(bad),
                              "--out", str(tmp_path / "out")])
@@ -636,6 +696,18 @@ class TestCli:
         code = cli.main(["pipeline", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_INFEASIBLE
+
+    def test_outer_iteration_budget_exit_code(self, tmp_path, monkeypatch, capsys):
+        # this tensor needs 4 outer iterations; with a budget of 1 the
+        # optimizer gives up without a certificate
+        tensor = synthetic_tensor(4, 3, 3, np.random.default_rng(600))
+        assert oed.simplicial_decomposition(tensor, 2).n_outer == 4
+        monkeypatch.setattr(pipeline.Pipeline, "tensor", lambda self: tensor)
+        monkeypatch.setattr(oed, "MAX_OUTER_DEFAULT", 1)
+        cfg_path = write_config(tmp_path, **{"design.budget": 2})
+        code = cli.main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert "MaxIterations: no certificate after 1 outer iterations" in capsys.readouterr().err
 
     def test_make_configs(self, tmp_path):
         code = cli.main(["make-configs", "--out", str(tmp_path)])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from diffdesign import fem, fim, mesh, numerics, shape
+from diffdesign import config, fem, fim, mesh, numerics, pipeline, shape
 from diffdesign.errors import CacheMismatch, DimensionMismatch, InstantOutOfRange, MissingTag
 
 
@@ -32,11 +32,11 @@ def problem():
     return m, sensors, sens, gram, tensor
 
 
-def set_cache_version(path, version):
-    """Rewrite the version member of a tensor cache file."""
+def set_cache_key(path, key):
+    """Rewrite the key member of a tensor cache file."""
     with np.load(path) as npz:
         members = dict(npz)
-    members["version"] = np.array(version)
+    members["key"] = np.array(key)
     with open(path, "wb") as fh:
         np.savez(fh, **members)
 
@@ -259,6 +259,8 @@ class TestTensorCache:
         loaded = fim.load_tensor(path, expect_hash="abc123")
         assert np.array_equal(loaded.matrices, tensor.matrices)
         assert np.array_equal(loaded.gramian, tensor.gramian)
+        with np.load(path) as npz:
+            assert sorted(npz.files) == ["gramian", "key", "matrices"]
 
     def test_hash_mismatch(self, problem, tmp_path):
         _, _, _, _, tensor = problem
@@ -267,15 +269,17 @@ class TestTensorCache:
         with pytest.raises(CacheMismatch):
             fim.load_tensor(path, expect_hash="freshhash")
 
-    def test_other_version_rejected(self, problem, tmp_path):
+    def test_other_version_rejected(self, problem, tmp_path, monkeypatch):
+        # other code gives the same config another key, and a file it wrote
+        # under that key is refused
         _, _, _, _, tensor = problem
+        cfg = config.load_config({})
+        key = config.tensor_hash(cfg)
+        monkeypatch.setattr(config, "_code_digest", lambda: "other code")
         path = tmp_path / "tensor.fim"
-        fim.save_tensor(tensor, path, config_hash="abc123")
-        with np.load(path) as npz:
-            assert npz["version"] == fim.TENSOR_VERSION == 2
-        set_cache_version(path, fim.TENSOR_VERSION + 1)
-        with pytest.raises(CacheMismatch, match="version"):
-            fim.load_tensor(path, expect_hash="abc123")
+        fim.save_tensor(tensor, path, config_hash=config.tensor_hash(cfg))
+        with pytest.raises(CacheMismatch, match="different config or code"):
+            fim.load_tensor(path, expect_hash=key)
 
     def test_unreadable_header_rejected(self, tmp_path):
         path = tmp_path / "tensor.fim"
@@ -301,8 +305,7 @@ class TestTensorCache:
         _, _, _, _, tensor = problem
         path = tmp_path / "tensor.fim"
         with open(path, "wb") as fh:
-            np.savez(fh, matrices=tensor.matrices, gramian=tensor.gramian,
-                     version=np.array(fim.TENSOR_VERSION))
+            np.savez(fh, matrices=tensor.matrices, gramian=tensor.gramian)
         with pytest.raises(CacheMismatch, match="not a FIM tensor cache"):
             fim.load_tensor(path, expect_hash="abc123")
 
@@ -366,3 +369,20 @@ class TestInformationMonotonicity:
             lower = numerics.cholesky(fim.combine(w2, tensor))
             phi2 = np.trace(numerics.cholesky_solve(lower, tensor.gramian))
             assert phi2 <= phi + 1e-9 * abs(phi)
+
+
+class TestTimeStep:
+    def test_phi_first_order_in_time_step(self, tmp_path):
+        # halving the backward-Euler step with the instants held at the same
+        # physical times: phi at uniform weights falls, and its successive
+        # differences shrink by about 2 (first order; ~1 would not converge,
+        # ~4 would be second order)
+        phis = []
+        for m in (1, 2, 4):
+            cfg = config.load_config({
+                "geometry": {"h": 0.08}, "physics": {"n_steps": 21 * m},
+                "design": {"optimize": False, "instants": list(range(0, 21 * m + 1, m))}})
+            phis.append(pipeline.Pipeline(cfg, tmp_path, log=False).result().phi)
+        first, second = -np.diff(phis)
+        assert first > 0.0 and second > 0.0
+        assert 1.5 <= first / second <= 2.5

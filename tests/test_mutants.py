@@ -48,6 +48,16 @@ def inverted(original):
     return lambda *args: -original(*args)
 
 
+def code_blind(original):
+    # the key of the config fields alone, as when a hand-kept version
+    # constant is not raised
+    def tensor_hash(cfg):
+        full = config.canonical_dict(cfg)
+        return config._sha({k: full[k] for k in ("geometry", "physics", "basis", "noise",
+                                                 "instants")})
+    return tensor_hash
+
+
 #: (module, attribute, mutant of the original, oracle, fixtures the oracle
 #: takes, how the oracle fails)
 MUTANTS = [
@@ -64,6 +74,9 @@ MUTANTS = [
                  lambda: test_cli.TestConfig().test_integral_numbers_hash_as_floats(
                      {"physics": {"horizon": 10}}, {}), (), AssertionError,
                  id="numbers-not-floats"),
+    pytest.param(config, "tensor_hash", code_blind,
+                 test_cli.TestConfig().test_tensor_hash_covers_package_source, ("tmp_path",),
+                 AssertionError, id="tensor-key-without-code"),
     # the insertion walk loses the point before the oracle's check is reached
     pytest.param(mesh, "_in_circumcircle", inverted,
                  test_mesh.TestDelaunay().test_random_cloud_empty_circumcircle, (),

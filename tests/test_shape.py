@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffdesign import mesh, numerics, shape
-from diffdesign.errors import CentersOutOfRange, DisconnectedGraph
+from diffdesign.errors import CentersOutOfRange, DisconnectedGraph, MultipleLoops, OpenLoop
 
 
 def dijkstra_oracle(n, edges, source):
@@ -32,6 +32,20 @@ def dijkstra_oracle(n, edges, source):
 def rows(fields, index):
     """The block of the fields selected by `index` (a slice or id list)."""
     return dataclasses.replace(fields, values=fields.values[index])
+
+
+def segments_mesh(segments, kind="interface"):
+    """A hand-built mesh with no triangles, only the given segments, all of
+    one kind: all interface_from_mesh reads. Nodes 0-3 are the unit square's
+    corners, counter-clockwise, and 4-7 those of a square inside it."""
+    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    n = len(segments)
+    return mesh.Mesh(nodes=np.array(corners + [(0.5 * x + 0.25, 0.5 * y + 0.25)
+                                               for x, y in corners]),
+                     triangles=np.zeros((0, 3), dtype=int), regions=np.zeros(0, dtype=int),
+                     seg_nodes=np.array(segments, dtype=int).reshape(n, 2),
+                     seg_kind=np.full(n, kind, dtype="U9"), seg_ref=np.full(n, -1),
+                     seg_beta=np.zeros(n))
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +93,27 @@ class TestInterfaceCurve:
         centroid = pts.mean(axis=0)
         assert np.allclose(np.linalg.norm(curve.normals, axis=1), 1.0, atol=1e-10)
         assert np.all(np.einsum("ij,ij->i", curve.normals, pts - centroid) > 0.0)
+
+    def test_closed_loop_of_a_hand_built_mesh(self):
+        curve = shape.interface_from_mesh(segments_mesh([(0, 1), (2, 1), (2, 3), (3, 0)]))
+        assert curve.vertices.tolist() == [0, 1, 2, 3]
+        assert curve.length == 4.0
+
+    @pytest.mark.parametrize("segments, kind, message", [
+        ([(0, 1), (1, 2), (2, 3)], "interface", "do not form a closed loop"),
+        ([(0, 1), (1, 2), (2, 0), (0, 3)], "interface", "do not form a closed loop"),
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], "dirichlet", "no interface edges"),
+    ], ids=["open-chain", "branch", "no-interface-edges"])
+    def test_open_loop(self, segments, kind, message):
+        with pytest.raises(OpenLoop, match=message):
+            shape.interface_from_mesh(segments_mesh(segments, kind))
+
+    def test_two_loops(self):
+        # two closed loops, the outer square and the inner one
+        outer = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        inner = [(4, 5), (5, 6), (6, 7), (7, 4)]
+        with pytest.raises(MultipleLoops, match="more than one closed loop"):
+            shape.interface_from_mesh(segments_mesh(outer + inner))
 
     def test_normals_point_into_bulk(self, circle_interface_mesh):
         m = circle_interface_mesh
