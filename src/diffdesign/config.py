@@ -27,7 +27,7 @@ import scipy
 
 from . import fem, fim, oed, shape
 from .errors import ConfigError
-from .mesh import DEFAULT_INCLUSION_CONTROL, GeometrySpec, RobinSpan
+from .mesh import DEFAULT_INCLUSION_CONTROL, SIDES, GeometrySpec, RobinSpan
 
 #: largest sensitivity block (8 bytes x n_basis x (n_steps + 1) x nodes) a
 #: config may ask for; see check_sensitivity_size
@@ -56,7 +56,7 @@ SCHEMA = {
                 "spline_control": _POINTS,
                 "spline_samples": {"type": "integer", "minimum": 8, "maximum": 1024},
                 "sensors": {"type": "array", "items": _BOX},
-                "dirichlet_side": {"enum": ["top", "bottom", "left", "right", "all"]},
+                "dirichlet_side": {"enum": [*SIDES, "all"]},
                 "robin_spans": {
                     "type": "array",
                     "items": {
@@ -64,7 +64,7 @@ SCHEMA = {
                         "additionalProperties": False,
                         "required": ["side", "lo", "hi", "beta"],
                         "properties": {
-                            "side": {"enum": ["top", "bottom", "left", "right"]},
+                            "side": {"enum": list(SIDES)},
                             "lo": {"type": "number", "minimum": 0.0, "maximum": 1.0},
                             "hi": {"type": "number", "minimum": 0.0, "maximum": 1.0},
                             "beta": {"type": "number", "minimum": 0.0},

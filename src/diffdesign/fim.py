@@ -67,12 +67,12 @@ def build_sensor_models(mesh: Mesh, alpha0=ALPHA0_DEFAULT,
             for k in range(len(mesh.sensor_elements))]
 
 
-def apply_precision_root(model: SensorModel, local_field):
-    """Apply the discrete covariance-root inverse: M^-1 (a0 K + a1 M) f, to
-    one patch-local field or to a block with one field per column."""
-    mass = model.lumped_mass if np.ndim(local_field) == 1 else model.lumped_mass[:, None]
-    out = model.alpha0 * (model.stiffness @ local_field) \
-        + model.alpha1 * (mass * local_field)
+def apply_precision_root(model: SensorModel, local_fields):
+    """Apply the discrete covariance-root inverse M^-1 (a0 K + a1 M) to a
+    block of patch-local fields, one field per column."""
+    mass = model.lumped_mass[:, None]
+    out = model.alpha0 * (model.stiffness @ local_fields) \
+        + model.alpha1 * (mass * local_fields)
     return out / mass
 
 
@@ -130,7 +130,8 @@ def elementary_fims(sensitivities, sensors, instants, gramian) -> FimTensor:
 
 
 def weighted_sum(weights, mats):
-    """sum_i weights[i] * mats[i] over the nonzero weights.
+    """sum_i weights[i] * mats[i] over the nonzero weights (+0.0 zeros when
+    there are none: tensordot over an empty contraction).
 
     Summation order is the fixed enumeration, so the result is bitwise
     reproducible.
@@ -139,8 +140,6 @@ def weighted_sum(weights, mats):
     if w.shape != (len(mats),):
         raise DimensionMismatch(f"got {w.shape[0]} weights for {len(mats)} matrices")
     nz = np.flatnonzero(w)
-    if len(nz) == 0:
-        return np.zeros(mats.shape[1:])
     return np.tensordot(w[nz], mats[nz], axes=1)
 
 
@@ -158,7 +157,7 @@ def spatial_tensor(tensor: FimTensor) -> FimTensor:
 
 # -- tensor cache -------------------------------------------------------------
 
-def save_tensor(tensor: FimTensor, path, config_hash=""):
+def save_tensor(tensor: FimTensor, path, config_hash):
     """Write the tensor cache as an uncompressed ``.npz`` archive holding
     ``matrices``, ``gramian`` and the tensor hash as ``key``.
 
@@ -180,7 +179,7 @@ def save_tensor(tensor: FimTensor, path, config_hash=""):
         raise
 
 
-def load_tensor(path, expect_hash=None) -> FimTensor:
+def load_tensor(path, expect_hash) -> FimTensor:
     """Read a tensor cache; raises CacheMismatch when the file is not a complete,
     intact tensor cache (each member's CRC-32 is checked on read), its stored key
     differs from `expect_hash`, or its arrays do not form a tensor."""
@@ -190,7 +189,7 @@ def load_tensor(path, expect_hash=None) -> FimTensor:
     except (OSError, EOFError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as err:
         raise CacheMismatch(f"{path} is not a FIM tensor cache ({err})") from err
-    if expect_hash is not None and key != expect_hash:
+    if key != expect_hash:
         raise CacheMismatch("tensor cache was built from a different config or code")
     if mats.ndim != 4 or mats.shape[2:] != gram.shape:
         raise CacheMismatch(f"tensor cache shapes {mats.shape} and {gram.shape} disagree")

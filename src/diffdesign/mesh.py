@@ -40,6 +40,9 @@ _MERGE_TOL = 1e-12
 _ON_TOL = 1e-9
 THETA_MIN = 20.0  # degrees; Ruppert's termination proof covers up to ~20.7
 
+#: side of the unit square -> (index of the coordinate fixed on it, its value)
+SIDES = {"top": (1, 1.0), "bottom": (1, 0.0), "left": (0, 0.0), "right": (0, 1.0)}
+
 
 def _orient(a, b, c):
     """Twice the signed area of triangle (a, b, c); positive when CCW.
@@ -526,13 +529,14 @@ def _split_segment(tr, key, work, node_cap, segments):
             _split_segment(tr, sub, work, node_cap, segments)
 
 
-def refine(tr, h=None, node_cap=200000):
+def refine(tr, h, node_cap=200000):
     """Ruppert-style refinement to a minimum angle and target edge length.
 
     Boundary edges (used by a single triangle) are treated as constrained;
     those not constrained yet get source 0, the outer polyline of
     `build_mesh`. A triangle is split when its minimum angle falls below
-    `THETA_MIN` degrees or, when `h` is given, its longest edge exceeds `h`.
+    `THETA_MIN` degrees or its longest edge exceeds `h`; `math.inf` refines
+    by angle alone.
     A pass queues every triangle in id order, then those its splits create,
     and skips the good and the stalled ones as it pops them (badness
     depends only on a triangle's vertices); passes repeat while they
@@ -559,8 +563,7 @@ def refine(tr, h=None, node_cap=200000):
             if tid not in tr.tri_v or tid in stalled:
                 continue
             min_angle, longest = _tri_geometry(tr, tid)
-            if min_angle >= THETA_MIN * (1.0 - 1e-12) and (
-                    h is None or longest <= h * (1.0 + 1e-12)):
+            if min_angle >= THETA_MIN * (1.0 - 1e-12) and longest <= h * (1.0 + 1e-12):
                 continue
             if len(tr.points) >= node_cap:
                 raise RefinementBudgetExceeded(f"node cap {node_cap} reached")
@@ -748,9 +751,11 @@ class GeometrySpec:
             for j in range(i):
                 if _boxes_overlap(box, self.sensors[j]):
                     raise ValueError(f"sensors {j} and {i} overlap")
-        if self.dirichlet_side not in ("top", "bottom", "left", "right", "all"):
+        if self.dirichlet_side not in (*SIDES, "all"):
             raise ValueError(f"unknown dirichlet side {self.dirichlet_side!r}")
         for i, span in enumerate(self.robin_spans):
+            if span.side not in SIDES:
+                raise ValueError(f"robin_spans[{i}]: unknown side {span.side!r}")
             if span.lo > span.hi:
                 raise ValueError(f"robin_spans[{i}]: lo {span.lo} exceeds hi {span.hi}")
             # the Dirichlet condition owns its side; a span there would be
@@ -847,8 +852,7 @@ class Mesh:
 
     def areas(self):
         """Signed triangle areas, positive for counter-clockwise triangles."""
-        p = self.nodes[self.triangles]
-        return 0.5 * _orient(p[:, 0].T, p[:, 1].T, p[:, 2].T)
+        return p1_gradients(self.nodes, self.triangles)[1]
 
 
 def _subdivide_polyline(points, h):
@@ -910,29 +914,15 @@ def build_mesh(spec: GeometrySpec) -> Mesh:
 
 
 def _side_point(side, val):
-    if side == "bottom":
-        return (val, 0.0)
-    if side == "top":
-        return (val, 1.0)
-    if side == "left":
-        return (0.0, val)
-    if side == "right":
-        return (1.0, val)
-    raise ValueError(f"unknown side {side!r}")
+    """The point of `side` at running coordinate `val`."""
+    axis, value = SIDES[side]
+    return (val, value) if axis == 1 else (value, val)
 
 
 def _side_coord(side, mid):
     """(on-side, running coordinate) for an outer-boundary midpoint."""
-    x, y = mid
-    if side == "bottom":
-        return abs(y) <= _ON_TOL, x
-    if side == "top":
-        return abs(y - 1.0) <= _ON_TOL, x
-    if side == "left":
-        return abs(x) <= _ON_TOL, y
-    if side == "right":
-        return abs(x - 1.0) <= _ON_TOL, y
-    raise ValueError(side)
+    axis, value = SIDES[side]
+    return abs(mid[axis] - value) <= _ON_TOL, mid[1 - axis]
 
 
 def _tag_mesh(tr, spec, poly, tags):

@@ -126,8 +126,8 @@ def _row_dots(u, v):
 
 
 def cg_solve(a, rhs, tol=1e-10, x0=None, max_iter=None):
-    """Jacobi-preconditioned conjugate gradients for sparse SPD systems with
-    one right-hand side (1-D `rhs`) or a block of k (a (k, n) `rhs`).
+    """Jacobi-preconditioned conjugate gradients for a sparse SPD system with
+    a (k, n) block `rhs` of k right-hand sides; `x0`, if given, is (k, n) too.
 
     Row i of the result is bitwise ``scipy.sparse.linalg.cg(a, rhs[i],
     x0=x0[i], rtol=tol, atol=0, M=jacobi)``: the same operations in the same
@@ -139,11 +139,9 @@ def cg_solve(a, rhs, tol=1e-10, x0=None, max_iter=None):
     """
     a = sp.csr_matrix(a)
     b = np.ascontiguousarray(rhs, dtype=float)
-    single = b.ndim == 1
-    b = b.reshape(-1, a.shape[0])
     n = b.shape[1]
     out = b.copy()
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).reshape(b.shape)
+    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float)
     b_norm = np.sqrt(_row_dots(b, b))
     atol = tol * b_norm
     # rows with a zero rhs return it as they are; the rest start iterating
@@ -183,4 +181,4 @@ def cg_solve(a, rhs, tol=1e-10, x0=None, max_iter=None):
             raise NoConvergence(
                 f"CG left {len(rows)} of {len(out)} right-hand sides short of "
                 f"||r|| < {tol:.1e} * ||b|| after {n_iter} iterations")
-    return out[0] if single else out
+    return out

@@ -10,7 +10,6 @@ of the same configuration produce byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -19,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, fim, mesh_io, oed, shape
-from .config import Config, check_sensitivity_size, config_hash, tensor_hash
+from .config import (Config, canonical_dict, check_sensitivity_size, config_hash,
+                     tensor_hash)
 from .errors import CacheMismatch, ConfigError
 from .mesh import build_mesh
 from .mesh_io import _fmt
@@ -151,16 +151,12 @@ class Pipeline:
         def build():
             cfg = self.config.design
             tensor = self.tensor()
-            if cfg.mode == "spatial":
-                if cfg.optimize:
-                    return oed.solve_spatial(tensor, cfg.budget,
-                                             tol_outer=cfg.tol_outer)
-                spatial = fim.spatial_tensor(tensor)
-                return oed.evaluate_design(oed.uniform_design(spatial, cfg.budget),
-                                           spatial)
             if cfg.optimize:
-                return oed.simplicial_decomposition(tensor, cfg.budget,
-                                                    tol_outer=cfg.tol_outer)
+                solve = (oed.solve_spatial if cfg.mode == "spatial"
+                         else oed.simplicial_decomposition)
+                return solve(tensor, cfg.budget, tol_outer=cfg.tol_outer)
+            if cfg.mode == "spatial":
+                tensor = fim.spatial_tensor(tensor)
             return oed.evaluate_design(oed.uniform_design(tensor, cfg.budget), tensor)
         return self._stage("optimize", build)
 
@@ -283,8 +279,8 @@ def _write_eigenvalues_csv(path, result):
 def _write_history_csv(path, result):
     lines = ["iteration,phi,weight_change_l1"]
     for i, phi in enumerate(result.phi_history):
-        dw = result.dw_history[i - 1] if 0 < i <= len(result.dw_history) else math.nan
-        dw_text = "" if math.isnan(dw) else _fmt(dw)
+        # dw_history[i - 1] is the weight change that led to phi_history[i]
+        dw_text = _fmt(result.dw_history[i - 1]) if i else ""
         lines.append(f"{i},{_fmt(phi)},{dw_text}")
     _write_lines(path, lines)
 
@@ -303,7 +299,6 @@ def _write_result_json(path, result):
 def _write_report_json(path, config, report, result):
     # cache status and stage timings stay off the serialized report so two
     # runs of one config produce byte-identical files
-    from .config import canonical_dict
     payload = {
         "case": report.case,
         "config_hash": report.config_hash,
@@ -327,6 +322,8 @@ def compare_cases(configs, out_dir, cache_dir=None, log=True):
     be distinct single path components. Returns the table rows and writes
     compare.csv.
     """
+    if not configs:
+        raise ConfigError("$: no cases to compare")
     names = [cfg.case for cfg in configs]
     for name in names:
         if name in ("", ".", "..") or "/" in name or "\\" in name:

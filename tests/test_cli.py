@@ -435,7 +435,8 @@ class TestPipeline:
         assert pipe.report.fim_cache == "miss"
         assert ("fim: cache rejected (tensor cache was built from a different config "
                 "or code)") in capsys.readouterr().err
-        assert fim.load_tensor(stale).matrices.shape == pipe.tensor().matrices.shape
+        assert (fim.load_tensor(stale, config.tensor_hash(cfg)).matrices.shape
+                == pipe.tensor().matrices.shape)
 
     @pytest.mark.parametrize("how", CORRUPTIONS)
     def test_damaged_cache_rebuilt_and_logged(self, fast_run, tmp_path, capsys, how):
@@ -450,7 +451,8 @@ class TestPipeline:
         assert pipe.report.fim_cache == "miss"
         assert "fim: cache rejected" in capsys.readouterr().err
         assert damaged.read_bytes() == stored.read_bytes()
-        assert np.array_equal(tensor.matrices, fim.load_tensor(stored).matrices)
+        assert np.array_equal(tensor.matrices,
+                              fim.load_tensor(stored, config.tensor_hash(cfg)).matrices)
 
     def test_deterministic_outputs(self, fast_run, tmp_path):
         out, cfg, _ = fast_run
@@ -548,6 +550,11 @@ class TestCompare:
             with pytest.raises(ConfigError, match=r"\$\.case: .* single path component"):
                 pipeline.compare_cases([config.load_config({**FAST_CONFIG, "case": name})],
                                        tmp_path, log=False)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_cases_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^\$: no cases to compare"):
+            pipeline.compare_cases([], tmp_path, log=False)
         assert list(tmp_path.iterdir()) == []
 
     def test_identical_configs_identical_rows(self, tmp_path):

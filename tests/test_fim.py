@@ -64,7 +64,7 @@ class TestPrecisionRoot:
     def test_constant_field_scales_by_alpha1(self, problem):
         _, sensors, _, _, _ = problem
         s = sensors[0]
-        c = 3.5 * np.ones(len(s.nodes))
+        c = 3.5 * np.ones((len(s.nodes), 1))
         out = fim.apply_precision_root(s, c)
         assert np.abs(out - s.alpha1 * 3.5).max() <= 1e-12
 
@@ -81,7 +81,7 @@ class TestPrecisionRoot:
         # the scaling limit is realized through a vanishingly small alpha0
         s = fim.build_sensor_model(m, 0, alpha0=1e-300, alpha1=2.0)
         rng = np.random.default_rng(0)
-        f = rng.standard_normal(len(s.nodes))
+        f = rng.standard_normal((len(s.nodes), 3))
         assert np.allclose(fim.apply_precision_root(s, f), 2.0 * f)
 
     def test_rayleigh_bound(self, problem):
@@ -202,7 +202,9 @@ class TestCombine:
 
     def test_zero_weights(self, problem):
         _, _, _, _, tensor = problem
-        assert np.all(fim.combine(np.zeros(tensor.n_weights), tensor) == 0.0)
+        got = fim.combine(np.zeros(tensor.n_weights), tensor)
+        assert got.shape == (tensor.n_basis, tensor.n_basis)
+        assert np.all(got == 0.0) and not np.signbit(got).any()
 
     def test_linear(self, problem):
         _, _, _, _, tensor = problem

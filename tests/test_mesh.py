@@ -75,6 +75,15 @@ _ANGLES = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
 GON40 = 0.5 + 0.1 * np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
 
 
+#: Dirichlet on the bottom and a Robin span on each other side, with its
+#: node count and mesh digest (every other pinned layout keeps the bottom free)
+ROBIN_THREE_SIDES = (
+    {"dirichlet_side": "bottom", "h": 0.05,
+     "robin_spans": [mesh.RobinSpan("top", 0.2, 0.7, 5.0), mesh.RobinSpan("left", 0.0, 0.5, 2.0),
+                     mesh.RobinSpan("right", 0.3, 1.0, 7.0)]},
+    1207, "623552103e3e6901fa21832eac47b18058c43bf25336b907793d145fb66b8dee")
+
+
 def shoelace(poly):
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -227,14 +236,14 @@ class TestRefine:
         pts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
         tr = delaunay(pts)
         before = {tuple(t) for t in triangle_array(tr).tolist()}
-        mesh.refine(tr, h=None)
+        mesh.refine(tr, h=math.inf)
         after = {tuple(t) for t in triangle_array(tr).tolist()}
         assert before == after
 
     def test_sliver_gets_fixed(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.02)]
         tr = delaunay(pts)
-        mesh.refine(tr, h=None)
+        mesh.refine(tr, h=math.inf)
         tris = triangle_array(tr)
         nodes = tr.point_array()
         for t in tris:
@@ -488,12 +497,14 @@ class TestMeshStress:
          "a77b3ace297f25346d9b8a9f21f8a50ee38a46d3edc189a0e653296661063693"),
         ({"spline_control": None, "sensors": [], "h": 0.1}, 302,
          "8e82079593763c4a6e11e5dfbf842c4f3bf1137df519e86165644aa68c5c1508"),
+        ROBIN_THREE_SIDES,
     ], ids=["case1-robin", "dirichlet-all", "touching-sensors", "polygon-40gon",
-            "no-inclusion-no-sensors"])
+            "no-inclusion-no-sensors", "robin-three-sides"])
     def test_precedence_layout_mesh_bytes_pinned(self, layout, n_nodes, digest):
         # edges that several input polylines share: the tag must follow the
-        # order outer, hold-all, sensor k (lowest k first); the last two rows
-        # pin an explicit polygon and criterion 10's plain square
+        # order outer, hold-all, sensor k (lowest k first); polygon-40gon and
+        # no-inclusion-no-sensors pin an explicit polygon and criterion 10's
+        # plain square, robin-three-sides the left, right and top spans
         spec = mesh.GeometrySpec(**{"spline_control": mesh.DEFAULT_INCLUSION_CONTROL,
                                     **layout})
         m = mesh.build_mesh(spec)
@@ -542,6 +553,13 @@ class TestSpecValidation:
         poly = np.array([(0.2, 0.2), (0.5, 0.2), (0.5, 0.5), (0.2, 0.5)])
         spec = mesh.GeometrySpec(inclusion_polygon=poly, sensors=[])
         with pytest.raises(ValueError):
+            spec.validate()
+
+    def test_unknown_robin_side(self):
+        # the schema's enum guards JSON input only; a span built in Python
+        # reaches validate as it is
+        spec = mesh.GeometrySpec(robin_spans=[mesh.RobinSpan("front", 0.0, 1.0, 1.0)])
+        with pytest.raises(ValueError, match="unknown side 'front'"):
             spec.validate()
 
     def test_default_spline_inside_holdall(self):

@@ -48,6 +48,10 @@ def inverted(original):
     return lambda *args: -original(*args)
 
 
+def left_right_swapped(original):
+    return {**original, "left": original["right"], "right": original["left"]}
+
+
 def code_blind(original):
     # the key of the config fields alone, as when a hand-kept version
     # constant is not raised
@@ -77,6 +81,10 @@ MUTANTS = [
     pytest.param(config, "tensor_hash", code_blind,
                  test_cli.TestConfig().test_tensor_hash_covers_package_source, ("tmp_path",),
                  AssertionError, id="tensor-key-without-code"),
+    pytest.param(mesh, "SIDES", left_right_swapped,
+                 lambda: test_mesh.TestMeshStress().test_precedence_layout_mesh_bytes_pinned(
+                     *test_mesh.ROBIN_THREE_SIDES), (), AssertionError,
+                 id="sides-left-right-swapped"),
     # the insertion walk loses the point before the oracle's check is reached
     pytest.param(mesh, "_in_circumcircle", inverted,
                  test_mesh.TestDelaunay().test_random_cloud_empty_circumcircle, (),

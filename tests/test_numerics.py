@@ -249,14 +249,14 @@ def block_system():
 
 class TestCgSolve:
     def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0])
+        b = np.array([[1.0, 2.0, 3.0]])
         x = numerics.cg_solve(sp.identity(3, format="csr"), b)
         assert np.allclose(x, b)
 
     def test_1d_laplacian_against_dense(self):
         a = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(5, 5), format="csr")
         rhs = np.ones(5)
-        x = numerics.cg_solve(a, rhs)
+        (x,) = numerics.cg_solve(a, rhs[None])
         expected = np.linalg.solve(a.toarray(), rhs)
         assert np.allclose(x, expected, atol=1e-9)
 
@@ -267,7 +267,7 @@ class TestCgSolve:
         dense = 0.5 * (dense + dense.T) + 50.0 * np.eye(40)
         a = sp.csr_matrix(dense)
         x0 = rng.standard_normal(40)
-        x = numerics.cg_solve(a, a @ x0, tol=1e-12)
+        (x,) = numerics.cg_solve(a, (a @ x0)[None], tol=1e-12)
         assert np.linalg.norm(x - x0) < 1e-8 * np.linalg.norm(x0)
 
     def test_p1_system_known_solution(self):
@@ -293,23 +293,23 @@ class TestCgSolve:
         a = sp.coo_matrix((stiff_vals + mass_vals, (rows, cols)), shape=(n, n)).tocsr()
         rng = np.random.default_rng(15)
         x0 = rng.standard_normal(n)
-        x = numerics.cg_solve(a, a @ x0, tol=1e-12)
+        (x,) = numerics.cg_solve(a, (a @ x0)[None], tol=1e-12)
         assert np.linalg.norm(a @ x - a @ x0) <= 1e-12 * np.linalg.norm(a @ x0)
         assert np.linalg.norm(x - x0) <= 1e-7 * np.linalg.norm(x0)
 
     def test_zero_rhs(self):
         a = sp.identity(4, format="csr")
-        assert np.array_equal(numerics.cg_solve(a, np.zeros(4)), np.zeros(4))
+        assert np.array_equal(numerics.cg_solve(a, np.zeros((1, 4))), np.zeros((1, 4)))
 
     def test_no_convergence(self):
         a = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(30, 30), format="csr")
         with pytest.raises(NoConvergence):
-            numerics.cg_solve(a, np.ones(30), tol=1e-10, max_iter=2)
+            numerics.cg_solve(a, np.ones((1, 30)), tol=1e-10, max_iter=2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         a = sp.csr_matrix(random_spd(20, rng, shift=10.0))
-        rhs = rng.standard_normal(20)
+        rhs = rng.standard_normal((2, 20))
         x1 = numerics.cg_solve(a, rhs)
         x2 = numerics.cg_solve(a, rhs)
         assert np.array_equal(x1, x2)
@@ -346,13 +346,6 @@ class TestCgSolve:
         got = numerics.cg_solve(a, b, x0=x0)
         assert np.array_equal(got[4], np.zeros(b.shape[1]))
         assert np.array_equal(got[4], scipy_cg(a, b[4], 1e-10, x0[4])[0])
-
-    def test_1d_rhs_bitwise_scipy(self, block_system):
-        a, b = block_system
-        x0 = np.linspace(-1.0, 1.0, b.shape[1])
-        got = numerics.cg_solve(a, b[3], tol=1e-10, x0=x0)
-        assert got.shape == b[3].shape
-        assert np.array_equal(got, scipy_cg(a, b[3], 1e-10, x0)[0])
 
     def test_block_no_convergence_when_any_row_hits_max_iter(self, block_system):
         a, b = block_system
