@@ -112,7 +112,7 @@ SCHEMA = {
                 "mode": {"enum": ["space-time", "spatial"]},
                 "optimize": {"type": "boolean"},
                 "instants": {"type": ["array", "null"],
-                             "items": {"type": "integer", "minimum": 0}},
+                             "items": {"type": "integer", "minimum": 0}, "minItems": 1},
                 "tol_outer": {"type": "number", "exclusiveMinimum": 0.0},
             },
         },
@@ -324,8 +324,10 @@ def load_config(source) -> Config:
     # on the floor here; Pipeline.forward repeats it on the real mesh
     check_sensitivity_size(cfg, min_nodes)
     instants = cfg.instants()
-    if instants and (min(instants) < 0 or max(instants) > cfg.physics.n_steps):
+    if min(instants) < 0 or max(instants) > cfg.physics.n_steps:
         raise ConfigError("$.design.instants: instants outside the time grid")
+    if len(set(instants)) < len(instants):
+        raise ConfigError("$.design.instants: an instant is listed twice")
     n_weights = len(cfg.geometry.sensors) * len(instants)
     if cfg.design.mode == "space-time" and cfg.design.budget >= max(n_weights, 1):
         raise ConfigError("$.design.budget: must be smaller than n_obs * n_time")

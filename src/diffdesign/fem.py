@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from .errors import MissingTag
 from .mesh import Mesh, assemble_p1, p1_gradients, p1_stiffness
-from .numerics import cg_solve
+from .numerics import cg_solve, dirichlet_blocks
 from .shape import VelocityField, velocity_gradients
 
 KAPPA_BULK_DEFAULT = 1e-1
@@ -61,12 +61,9 @@ class HeatOperators:
     def reduced_system(self, tau):
         """Free-node backward-Euler matrix and coupling block, cached per tau."""
         if tau not in self._cache:
-            n = len(self.mesh.nodes)
-            free = np.setdiff1d(np.arange(n), self.dirichlet_nodes)
-            a = (self.mass + tau * (self.stiffness + self.robin)).tocsr()[free]
-            a_ff = a[:, free].tocsr()
-            a_fc = a[:, self.dirichlet_nodes].tocsr()
-            self._cache[tau] = (free, a_ff, a_fc)
+            free = np.setdiff1d(np.arange(len(self.mesh.nodes)), self.dirichlet_nodes)
+            self._cache[tau] = (free, *dirichlet_blocks(
+                self.mass + tau * (self.stiffness + self.robin), free, self.dirichlet_nodes))
         return self._cache[tau]
 
 
@@ -103,18 +100,11 @@ def assemble_heat(mesh: Mesh, kappa_bulk=KAPPA_BULK_DEFAULT,
     mass = assemble_p1(tris, area[:, None, None] * local_mass[None, :, :], n)
     stiffness = p1_stiffness(tris, g, kappa * area, n)
 
-    seg_mask = mesh.seg_kind == "robin"
-    segs = mesh.seg_nodes[seg_mask]
-    betas = mesh.seg_beta[seg_mask]
-    if len(segs):
-        lengths = np.linalg.norm(nodes[segs[:, 1]] - nodes[segs[:, 0]], axis=1)
-        w = betas * lengths / 6.0
-        r_rows = np.concatenate([segs[:, 0], segs[:, 0], segs[:, 1], segs[:, 1]])
-        r_cols = np.concatenate([segs[:, 0], segs[:, 1], segs[:, 0], segs[:, 1]])
-        r_vals = np.concatenate([2.0 * w, w, w, 2.0 * w])
-        robin = sp.coo_matrix((r_vals, (r_rows, r_cols)), shape=(n, n)).tocsr()
-    else:
-        robin = sp.csr_matrix((n, n))
+    on_robin = mesh.seg_kind == "robin"
+    segs = mesh.seg_nodes[on_robin]
+    lengths = np.linalg.norm(nodes[segs[:, 1]] - nodes[segs[:, 0]], axis=1)
+    w = mesh.seg_beta[on_robin] * lengths / 6.0
+    robin = assemble_p1(segs, w[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]]), n)
 
     dirichlet = np.unique(mesh.seg_nodes[mesh.seg_kind == "dirichlet"])
     if len(dirichlet) == 0:

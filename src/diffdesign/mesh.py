@@ -720,6 +720,8 @@ class GeometrySpec:
         return poly
 
     def validate(self):
+        if not self.h > 0.0:                # NaN fails this and the span tests
+            raise ValueError(f"h = {self.h} is not positive")
         x0, y0, x1, y1 = self.holdall
         if not (0.0 < x0 < x1 < 1.0 and 0.0 < y0 < y1 < 1.0):
             raise ValueError("hold-all must be strictly inside the unit square")
@@ -756,8 +758,8 @@ class GeometrySpec:
         for i, span in enumerate(self.robin_spans):
             if span.side not in SIDES:
                 raise ValueError(f"robin_spans[{i}]: unknown side {span.side!r}")
-            if span.lo > span.hi:
-                raise ValueError(f"robin_spans[{i}]: lo {span.lo} exceeds hi {span.hi}")
+            if not (0.0 <= span.lo <= span.hi <= 1.0 and span.beta >= 0.0):
+                raise ValueError(f"robin_spans[{i}]: needs 0 <= lo <= hi <= 1, beta >= 0")
             # the Dirichlet condition owns its side; a span there would be
             # dropped without a trace
             if self.dirichlet_side in ("all", span.side):
@@ -814,18 +816,38 @@ def p1_gradients(nodes, triangles):
     return g, 0.5 * det
 
 
-def assemble_p1(triangles, local, n):
-    """Sum (e, 3, 3) element matrices into an (n, n) CSR matrix."""
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    vals = local.reshape(len(triangles), 9).ravel()
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+def assemble_p1(elements, local, n):
+    """Sum the (e, d, d) element matrices of (e, d) elements (triangles, d = 3,
+    or boundary edges, d = 2) into an (n, n) CSR matrix, element by element."""
+    d = elements.shape[1]
+    rows = np.repeat(elements, d, axis=1).ravel()
+    cols = np.tile(elements, (1, d)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def p1_stiffness(triangles, g, coeff, n):
     """P1 stiffness sum_e coeff[e] * grad(phi_i) . grad(phi_j) from the
     `p1_gradients` g of the elements."""
     return assemble_p1(triangles, np.einsum("e,eia,eja->eij", coeff, g, g), n)
+
+
+def p1_elasticity(triangles, g, area, lam, mu, n):
+    """P1 elasticity stiffness (Lame lam, mu) from the elements' `p1_gradients`
+    g and areas, node i's dofs at (2i, 2i + 1): entry (i, j, a, b) of element e
+    is area_e (mu g_ib g_ja + lam g_ia g_jb + [a == b] mu g_i . g_j). scipy sums
+    duplicates in the given order, and the element-major order of `assemble_p1`
+    would move the bits, so the entries keep (i, j, a, b, e) order."""
+    gt = g.transpose(1, 2, 0)                                   # (3, 2, e)
+    k = (mu * gt)[:, None, None] * gt[None, :, :, None]         # (3, 3, 2, 2, e)
+    k += (lam * gt)[:, None, :, None] * gt[None, :, None]
+    mu_dots = mu * np.einsum("eik,ejk->eij", g, g).transpose(1, 2, 0)
+    k[:, :, 0, 0] += mu_dots
+    k[:, :, 1, 1] += mu_dots
+    k *= area
+    dof = 2 * triangles.T[:, None] + np.arange(2)[:, None]     # (3, 2, e)
+    rows = np.broadcast_to(dof[:, None, :, None], k.shape).ravel()
+    cols = np.broadcast_to(dof[None, :, None], k.shape).ravel()
+    return sp.coo_matrix((k.ravel(), (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
 
 
 def _no_elements():

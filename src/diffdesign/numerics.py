@@ -115,6 +115,14 @@ def generalized_eig(a, b):
     return EigenDecomposition(values, vectors)
 
 
+def dirichlet_blocks(a, free, fixed):
+    """(a_ff, a_fc), the free rows of the CSR matrix `a` split into its free and
+    fixed (Dirichlet) columns. Rebinding `a` frees a temporary argument before
+    the blocks, which callers keep, are allocated, so they can reuse its memory."""
+    a = a[free]
+    return a[:, free], a[:, fixed]
+
+
 def _row_dots(u, v):
     """Row-wise dot products of two C-contiguous (k, n) blocks.
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     CentersOutOfRange,
@@ -27,8 +26,8 @@ from .errors import (
     MultipleLoops,
     OpenLoop,
 )
-from .mesh import Mesh, _polygon_area, p1_gradients
-from .numerics import cg_solve
+from .mesh import Mesh, _polygon_area, p1_elasticity, p1_gradients
+from .numerics import cg_solve, dirichlet_blocks
 
 LAME_LAMBDA_DEFAULT = 0.01
 LAME_MU_DEFAULT = 0.495
@@ -195,30 +194,6 @@ def farthest_point_centers(dist, n_centers, seed=0):
     return chosen
 
 
-def _elasticity_matrix(mesh, elements, lam, mu):
-    """P1 elasticity stiffness on the given elements, dofs interleaved (x,y)."""
-    tris = mesh.triangles[elements]
-    g, area = p1_gradients(mesh.nodes, tris)
-    dots = np.einsum("eik,ejk->eij", g, g)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            for a in range(2):
-                for b in range(2):
-                    kij = mu * g[:, i, b] * g[:, j, a] + lam * g[:, i, a] * g[:, j, b]
-                    if a == b:
-                        kij = kij + mu * dots[:, i, j]
-                    rows.append(2 * tris[:, i] + a)
-                    cols.append(2 * tris[:, j] + b)
-                    vals.append(area * kij)
-    n_dof = 2 * len(mesh.nodes)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_dof, n_dof),
-    )
-    return mat.tocsr()
-
-
 def extend_velocity(mesh: Mesh, curve: InterfaceCurve, amplitudes,
                     lam: float = LAME_LAMBDA_DEFAULT,
                     mu: float = LAME_MU_DEFAULT,
@@ -241,15 +216,17 @@ def extend_velocity(mesh: Mesh, curve: InterfaceCurve, amplitudes,
 
     holdall_nodes = mesh.seg_nodes[mesh.seg_kind == "holdall"].ravel()
     fixed_nodes = np.unique(np.concatenate([curve.vertices, holdall_nodes]))
-    involved = np.unique(mesh.triangles[support])
-    free_nodes = np.setdiff1d(involved, fixed_nodes)
+    tris = mesh.triangles[support]
+    free_nodes = np.setdiff1d(np.unique(tris), fixed_nodes)
     if len(free_nodes):
-        stiff = _elasticity_matrix(mesh, support, lam, mu)
+        g, area = p1_gradients(mesh.nodes, tris)
         free = np.column_stack([2 * free_nodes, 2 * free_nodes + 1]).ravel()
         fixed = np.column_stack([2 * fixed_nodes, 2 * fixed_nodes + 1]).ravel()
+        a_ff, a_fc = dirichlet_blocks(p1_elasticity(tris, g, area, lam, mu, len(mesh.nodes)),
+                                      free, fixed)
         flat = values.reshape(k, -1)
-        rhs = (-stiff[free][:, fixed] @ flat[:, fixed].T).T
-        flat[:, free] = cg_solve(stiff[free][:, free], rhs, tol=tol)
+        rhs = (-a_fc @ flat[:, fixed].T).T
+        flat[:, free] = cg_solve(a_ff, rhs, tol=tol)
     return VelocityField(mesh, values, support)
 
 

@@ -687,6 +687,20 @@ class TestCli:
             assert code == cli.EXIT_CONFIG
             assert "$.geometry: robin_spans[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("design, reason", [
+        ({"instants": [3, 3], "budget": 3}, "listed twice"),
+        ({"instants": [], "mode": "spatial", "budget": 1}, "too short"),
+    ], ids=["repeated", "empty-spatial"])
+    def test_bad_instants_exit_code(self, tmp_path, capsys, design, reason):
+        # a repeated instant would weight one measurement twice; no instant
+        # at all left an information matrix that is singular, not invalid
+        cfg_path = write_config(tmp_path, {"geometry": {"h": 0.2}, "design": design})
+        code = cli.main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "$.design.instants" in err and reason in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         code = cli.main(["pipeline", "--config", str(tmp_path / "none.json"),
                          "--out", str(tmp_path)])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from collections import deque
@@ -5,8 +6,10 @@ from collections import deque
 import numpy as np
 import pytest
 
-from diffdesign import fim, mesh
+from diffdesign import fem, fim, mesh
 from diffdesign.errors import ConstraintCrossing, DegenerateInput
+
+from test_shape import elasticity_matrix
 
 
 def circumcircle_oracle(points, triangles, slack=1e-12):
@@ -562,7 +565,65 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown side 'front'"):
             spec.validate()
 
+    @pytest.mark.parametrize("lo, hi, beta", [
+        (-0.5, 0.5, 10.0), (0.5, 1.5, 10.0), (math.nan, 0.5, 10.0), (0.0, 0.5, -1.0),
+        (0.0, 0.5, math.nan),
+    ], ids=["lo-below-0", "hi-above-1", "nan-lo", "negative-beta", "nan-beta"])
+    def test_robin_span_bounds(self, lo, hi, beta):
+        # the schema's bounds guard JSON input only; unchecked, a span from
+        # -0.5 meshed outside the unit square (area 1.25 at h = 0.1)
+        spec = mesh.GeometrySpec(robin_spans=[mesh.RobinSpan("bottom", lo, hi, beta)])
+        with pytest.raises(ValueError, match="needs 0 <= lo <= hi <= 1, beta >= 0"):
+            spec.validate()
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
+    def test_mesh_size_positive(self, h):
+        # unchecked, h = 0 divided by zero while subdividing the input
+        # polylines and h < 0 refined up to the node cap
+        with pytest.raises(ValueError, match=f"h = {h} is not positive"):
+            mesh.GeometrySpec(h=h).validate()
+
     def test_default_spline_inside_holdall(self):
         poly = mesh.sample_closed_bspline(mesh.DEFAULT_INCLUSION_CONTROL, 64)
         assert np.all(poly[:, 0] > 0.36) and np.all(poly[:, 0] < 0.64)
         assert np.all(poly[:, 1] > 0.36) and np.all(poly[:, 1] < 0.64)
+
+
+@pytest.fixture(scope="module")
+def robin_three_sides_mesh():
+    layout, _, _ = ROBIN_THREE_SIDES
+    return mesh.build_mesh(mesh.GeometrySpec(
+        spline_control=mesh.DEFAULT_INCLUSION_CONTROL, **layout))
+
+
+class TestSparseOperators:
+    @pytest.mark.parametrize("span", [0, 1, 2], ids=["top", "left", "right"])
+    def test_robin_edge_mass_exact_for_quadratics(self, robin_three_sides_mesh, span):
+        # u is the running coordinate on the span and 0 elsewhere, so
+        # u^T R u = beta * integral of s^2 over [lo, hi]: the P1 edge mass is
+        # exact for products of P1 functions. (On the whole side, the top
+        # span would pick up the right span's edge at their shared corner.)
+        # 1^T R 1 alone cannot tell the local matrix [[2, 1], [1, 2]] from
+        # [[1, 2], [2, 1]]; this can
+        m = robin_three_sides_mesh
+        side, lo, hi, beta = dataclasses.astuple(ROBIN_THREE_SIDES[0]["robin_spans"][span])
+        axis, value = mesh.SIDES[side]
+        coord = m.nodes[:, 1 - axis]
+        on_span = ((np.abs(m.nodes[:, axis] - value) <= 1e-12)
+                   & (coord >= lo - 1e-12) & (coord <= hi + 1e-12))
+        u = np.where(on_span, coord, 0.0)
+        robin = fem.assemble_heat(m).robin
+        exact = beta * (hi ** 3 - lo ** 3) / 3.0
+        assert abs(u @ (robin @ u) - exact) <= 1e-12 * exact
+
+    def test_elasticity_annihilates_rigid_motions(self, robin_three_sides_mesh):
+        m = robin_three_sides_mesh
+        stiff = elasticity_matrix(m, m.holdall_closure)
+        x, y = m.nodes.T
+        scale = abs(stiff).max()
+        for motion in (np.column_stack([np.ones_like(x), 0 * x]),
+                       np.column_stack([0 * x, np.ones_like(x)]),
+                       np.column_stack([-y, x])):
+            flat = motion.ravel()
+            residual = np.abs(stiff @ flat).max()
+            assert residual <= 1e-12 * scale * np.abs(flat).max()

@@ -34,6 +34,14 @@ def rows(fields, index):
     return dataclasses.replace(fields, values=fields.values[index])
 
 
+def elasticity_matrix(m, elements):
+    """The default-Lame elasticity stiffness on the given elements of m."""
+    tris = m.triangles[elements]
+    g, area = mesh.p1_gradients(m.nodes, tris)
+    return mesh.p1_elasticity(tris, g, area, shape.LAME_LAMBDA_DEFAULT,
+                              shape.LAME_MU_DEFAULT, len(m.nodes))
+
+
 def segments_mesh(segments, kind="interface"):
     """A hand-built mesh with no triangles, only the given segments, all of
     one kind: all interface_from_mesh reads. Nodes 0-3 are the unit square's
@@ -310,10 +318,8 @@ class TestExtendVelocity:
 
     def test_energy_optimality(self, extended_fields):
         m, curve, _, fields = extended_fields
-        from diffdesign.shape import _elasticity_matrix
         support = m.holdall_closure
-        stiff = _elasticity_matrix(m, support, shape.LAME_LAMBDA_DEFAULT,
-                                   shape.LAME_MU_DEFAULT)
+        stiff = elasticity_matrix(m, support)
         hold_nodes = m.seg_nodes[m.seg_kind == "holdall"].ravel()
         fixed = np.unique(np.concatenate([curve.vertices, hold_nodes]))
         involved = np.unique(m.triangles[support])
@@ -331,15 +337,13 @@ class TestExtendVelocity:
     def test_matches_direct_sparse_solve(self, circle_interface_mesh):
         # same reduced elasticity system solved by an unrelated solver
         import scipy.sparse.linalg as spla
-        from diffdesign.shape import _elasticity_matrix
         m = circle_interface_mesh
         curve = shape.interface_from_mesh(m)
         b = shape.gaussian_bump_basis(curve, 3)[1]
         [mine] = shape.extend_velocity(m, curve, [b], tol=1e-13).values
 
         support = m.holdall_closure
-        stiff = _elasticity_matrix(m, support, shape.LAME_LAMBDA_DEFAULT,
-                                   shape.LAME_MU_DEFAULT)
+        stiff = elasticity_matrix(m, support)
         values = np.zeros((len(m.nodes), 2))
         values[curve.vertices] = b[:, None] * curve.normals
         hold_nodes = m.seg_nodes[m.seg_kind == "holdall"].ravel()
