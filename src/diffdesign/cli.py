@@ -13,7 +13,7 @@ from pathlib import Path
 from . import mesh_io
 from .config import load_config, comparison_case_dicts
 from .errors import ConfigError, DiffDesignError, Infeasible
-from .pipeline import Pipeline, _write_json, compare_cases
+from .pipeline import Pipeline, _write_json, check_cases, compare_cases
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -28,6 +28,16 @@ def _add_outputs(parser):
 
 def _cache_dir(args):
     return args.stage_cache if args.stage_cache else Path(args.out) / "cache"
+
+
+def _make_dir(option, path):
+    """Create the directory `option` names before any stage runs, so that an
+    unusable path is a configuration error, not a late traceback."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"{option} {str(path)!r}: cannot create the directory "
+                          f"({err.strerror})") from None
 
 
 def build_parser():
@@ -62,7 +72,7 @@ def build_parser():
 def _run(args):
     if args.command == "make-configs":
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir("--out", out)
         for name, payload in comparison_case_dicts().items():
             _write_json(out / f"{name}.json", payload)
         print(f"wrote 5 case configs under {out}")
@@ -70,6 +80,9 @@ def _run(args):
 
     if args.command == "compare":
         configs = [load_config(path) for path in args.configs]
+        check_cases(configs)
+        _make_dir("--out", args.out)
+        _make_dir("--stage-cache", _cache_dir(args))
         rows = compare_cases(configs, args.out, cache_dir=_cache_dir(args))
         for case, phi, recip in rows:
             print(f"{case}: phi = {phi:.6e}")
@@ -78,7 +91,9 @@ def _run(args):
 
     pipe = Pipeline(load_config(args.config), args.out, cache_dir=_cache_dir(args))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir("--out", out)
+    if args.command in ("assemble-fim", "pipeline"):    # the commands that use the cache
+        _make_dir("--stage-cache", _cache_dir(args))
 
     if args.command == "generate-mesh":
         m = pipe.mesh()

@@ -18,8 +18,8 @@ encroachment) has one function, taking points or coordinate arrays.
 Tagged entities:
   triangle regions  -> `regions`: bulk / inclusion (centroid-in-polygon test)
   boundary segments -> `seg_kind`: dirichlet, robin (`seg_beta`, span index in
-                       `seg_ref`), holdall, sensor (box index in `seg_ref`),
-                       interface; consumers select them with a `seg_kind` mask
+                       `seg_ref`), neumann (zero-flux), holdall, sensor (box
+                       index in `seg_ref`), interface; consumers use masks
   element sets      -> `sensor_elements` (one per sensor box, in box order),
                        `holdall_annulus`, `holdall_closure` (centroid-in-box)
 """
@@ -758,13 +758,19 @@ class GeometrySpec:
         for i, span in enumerate(self.robin_spans):
             if span.side not in SIDES:
                 raise ValueError(f"robin_spans[{i}]: unknown side {span.side!r}")
-            if not (0.0 <= span.lo <= span.hi <= 1.0 and span.beta >= 0.0):
-                raise ValueError(f"robin_spans[{i}]: needs 0 <= lo <= hi <= 1, beta >= 0")
+            # a span with lo == hi would get no edge
+            if not (0.0 <= span.lo < span.hi <= 1.0 and span.beta >= 0.0):
+                raise ValueError(f"robin_spans[{i}]: needs 0 <= lo < hi <= 1, beta >= 0")
             # the Dirichlet condition owns its side; a span there would be
             # dropped without a trace
             if self.dirichlet_side in ("all", span.side):
                 raise ValueError(f"robin_spans[{i}]: side {span.side!r} is under "
                                  f"the Dirichlet condition ({self.dirichlet_side!r})")
+            # an edge in two spans would take the first one's beta
+            for j, other in enumerate(self.robin_spans[:i]):
+                if other.side == span.side and max(span.lo, other.lo) < min(span.hi, other.hi):
+                    raise ValueError(f"robin_spans[{i}]: overlaps robin_spans[{j}] "
+                                     f"on side {span.side!r}")
 
 
 def _boxes_overlap(p, q):
@@ -992,8 +998,8 @@ def _tag_mesh(tr, spec, poly, tags):
 
 def _classify_edge(mid, kind, ref, spec):
     """(kind, ref, beta) of a constrained edge from its source polyline's
-    (kind, ref); an outer edge's midpoint places it on the Dirichlet side or
-    a Robin span."""
+    (kind, ref); an outer edge's midpoint places it on the Dirichlet side, a
+    Robin span or neither (a zero-flux edge)."""
     if kind != "outer":
         return kind, ref, 0.0
     if spec.dirichlet_side == "all" or _side_coord(spec.dirichlet_side, mid)[0]:
@@ -1002,7 +1008,7 @@ def _classify_edge(mid, kind, ref, spec):
         on_side, coord = _side_coord(span.side, mid)
         if on_side and span.lo - _ON_TOL <= coord <= span.hi + _ON_TOL:
             return "robin", i, span.beta
-    return "robin", -1, 0.0
+    return "neumann", -1, 0.0
 
 
 def _centroids_in_box(centroids, box):

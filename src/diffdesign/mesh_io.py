@@ -3,8 +3,8 @@
 Physical ids written to MSH files:
 
     triangles: 1 plain bulk, 2 inclusion, 3 hold-all annulus, 100+k sensor k
-    lines:     11 dirichlet, 12 interface, 13 hold-all boundary,
-               19 robin (default beta), 20+i robin span i, 30+k sensor k edge
+    lines:     11 dirichlet, 12 interface, 13 hold-all boundary, 19 neumann
+               (zero-flux outer edge), 20+i robin span i, 30+k sensor k edge
 
 A triangle in several sets takes the last id in the order bulk, annulus,
 sensor 0, 1, ..., inclusion. VTK files of one mesh share its grid text
@@ -28,8 +28,7 @@ _TRI_INCLUSION = 2
 _TRI_ANNULUS = 3
 _TRI_SENSOR_BASE = 100
 
-_LINE_FIXED = {"dirichlet": 11, "interface": 12, "holdall": 13}
-_LINE_ROBIN_DEFAULT = 19
+_LINE_FIXED = {"dirichlet": 11, "interface": 12, "holdall": 13, "neumann": 19}
 _LINE_ROBIN_BASE = 20
 _LINE_SENSOR_BASE = 30
 
@@ -46,7 +45,7 @@ def _floats(values):
 
 def _line_physical(kind, ref):
     if kind == "robin":
-        return _LINE_ROBIN_DEFAULT if ref < 0 else _LINE_ROBIN_BASE + ref
+        return _LINE_ROBIN_BASE + ref
     if kind == "sensor":
         return _LINE_SENSOR_BASE + ref
     if kind not in _LINE_FIXED:

@@ -313,15 +313,10 @@ def run_pipeline(config: Config, out_dir, cache_dir=None, log=True) -> RunReport
     return Pipeline(config, out_dir, cache_dir=cache_dir, log=log).run()
 
 
-def compare_cases(configs, out_dir, cache_dir=None, log=True):
-    """Run several cases and tabulate criterion values and spectra.
-
-    Cases must share the basis dimension; uniform-weight cases evaluate the
-    criterion at equal weights of total budget mass without optimizing.
-    Each case writes to the subdirectory named by its label, so labels must
-    be distinct single path components. Returns the table rows and writes
-    compare.csv.
-    """
+def check_cases(configs):
+    """Raise ConfigError unless the cases can be compared: at least one, with
+    distinct labels that are single path components (each case writes to the
+    subdirectory named by its label) and one basis dimension."""
     if not configs:
         raise ConfigError("$: no cases to compare")
     names = [cfg.case for cfg in configs]
@@ -333,6 +328,16 @@ def compare_cases(configs, out_dir, cache_dir=None, log=True):
     if len({cfg.basis.n_basis for cfg in configs}) > 1:
         dims = ", ".join(f"{cfg.case} has {cfg.basis.n_basis}" for cfg in configs)
         raise ConfigError(f"$.basis.n_basis: cases disagree on the basis dimension ({dims})")
+
+
+def compare_cases(configs, out_dir, cache_dir=None, log=True):
+    """Run several cases and tabulate criterion values and spectra.
+
+    The cases must pass `check_cases`; uniform-weight cases evaluate the
+    criterion at equal weights of total budget mass without optimizing.
+    Returns the table rows and writes compare.csv.
+    """
+    check_cases(configs)
     out_dir = Path(out_dir)
     rows = []
     for cfg in configs:

@@ -663,6 +663,40 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert "$.geometry: robin_spans[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spans, reason", [
+        ([{"side": "bottom", "lo": 0.0, "hi": 0.6, "beta": 10.0},
+          {"side": "bottom", "lo": 0.4, "hi": 1.0, "beta": 5.0}],
+         "robin_spans[1]: overlaps robin_spans[0] on side 'bottom'"),
+        ([{"side": "bottom", "lo": 0.5, "hi": 0.5, "beta": 10.0}],
+         "robin_spans[0]: needs 0 <= lo < hi <= 1"),
+    ], ids=["overlapping", "zero-length"])
+    def test_robin_span_without_effect_exit_code(self, tmp_path, capsys, spans, reason):
+        # both meshed and exited 0: the first span took the shared edges, and
+        # the zero-length span got none
+        cfg_path = write_config(tmp_path, **{"geometry.robin_spans": spans})
+        code = cli.main(["generate-mesh", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert f"$.geometry: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--out", "--stage-cache"])
+    def test_unusable_output_path_exit_code(self, tmp_path, capsys, monkeypatch, option):
+        # a file where the directory should be: exit 2 before any stage runs,
+        # not a FileExistsError traceback (for the cache, after three stages)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        paths = {"--out": str(tmp_path / "out"), "--stage-cache": str(tmp_path / "cache"),
+                 option: str(blocker)}
+
+        def stage(self, name, builder):
+            raise AssertionError(f"stage {name} ran")
+        monkeypatch.setattr(pipeline.Pipeline, "_stage", stage)
+        code = cli.main(["pipeline", "--config", str(write_config(tmp_path)),
+                         *(arg for item in paths.items() for arg in item)])
+        assert code == cli.EXIT_CONFIG
+        assert (f"{option} {str(blocker)!r}: cannot create the directory"
+                in capsys.readouterr().err)
+
     def test_float_valued_integer_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, **{"physics.n_steps": 3.0})
         code = cli.main(["generate-mesh", "--config", str(cfg_path),

@@ -90,7 +90,7 @@ def crossed_mesh(n, dirichlet="all"):
             if dirichlet == "all" or dirichlet == side:
                 kinds.append("dirichlet")
             else:
-                kinds.append("robin")
+                kinds.append("neumann")
     segs = np.asarray(segs, dtype=int)
     return mesh.Mesh(
         nodes=nodes,

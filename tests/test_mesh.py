@@ -84,7 +84,7 @@ ROBIN_THREE_SIDES = (
     {"dirichlet_side": "bottom", "h": 0.05,
      "robin_spans": [mesh.RobinSpan("top", 0.2, 0.7, 5.0), mesh.RobinSpan("left", 0.0, 0.5, 2.0),
                      mesh.RobinSpan("right", 0.3, 1.0, 7.0)]},
-    1207, "623552103e3e6901fa21832eac47b18058c43bf25336b907793d145fb66b8dee")
+    1207, "05df92351dfe4ed620e82b8c005a43eb59362aec90ed4d6ca185320d7e26332c")
 
 
 def shoelace(poly):
@@ -378,13 +378,47 @@ class TestBuildMesh:
         assert np.allclose(m.nodes[nodes, 1], 1.0, atol=1e-9)
 
     def test_robin_betas(self, paper_layout_mesh):
+        # Robin edges are the span's edges alone; the rest of the outer
+        # boundary off the Dirichlet side is zero-flux
         m, _ = paper_layout_mesh
-        robin = m.seg_kind == "robin"
-        segs, betas = m.seg_nodes[robin], m.seg_beta[robin]
-        mids = 0.5 * (m.nodes[segs[:, 0]] + m.nodes[segs[:, 1]])
+        mids = 0.5 * (m.nodes[m.seg_nodes[:, 0]] + m.nodes[m.seg_nodes[:, 1]])
         on_lower_left = (np.abs(mids[:, 1]) <= 1e-9) & (mids[:, 0] < 0.5)
-        assert np.all(betas[on_lower_left] == 10.0)
-        assert np.all(betas[~on_lower_left] == 0.0)
+        assert np.array_equal(m.seg_kind == "robin", on_lower_left)
+        assert np.all(m.seg_beta[on_lower_left] == 10.0)
+        assert np.all(m.seg_beta[m.seg_kind == "neumann"] == 0.0)
+
+    @pytest.mark.parametrize("layout", [
+        ROBIN_THREE_SIDES[0], {"robin_spans": [mesh.RobinSpan("bottom", 0.0, 0.5, 10.0)]},
+    ], ids=["robin-three-sides", "case1"])
+    def test_outer_edge_tags_follow_their_midpoints(self, layout):
+        # on the Dirichlet side: dirichlet; inside span i: (robin, i, beta_i);
+        # anywhere else on the outer boundary: (neumann, -1, 0.0)
+        spec = mesh.GeometrySpec(**{"spline_control": mesh.DEFAULT_INCLUSION_CONTROL,
+                                    **layout})
+        m = mesh.build_mesh(spec)
+        mids = 0.5 * (m.nodes[m.seg_nodes[:, 0]] + m.nodes[m.seg_nodes[:, 1]])
+        tags = zip(m.seg_kind.tolist(), m.seg_ref.tolist(), m.seg_beta.tolist())
+        seen = set()
+        for (x, y), tag in zip(mids.tolist(), tags):
+            side = [s for s, (coord, value) in {"bottom": (y, 0.0), "top": (y, 1.0),
+                                                 "left": (x, 0.0), "right": (x, 1.0)}.items()
+                    if abs(coord - value) <= 1e-9]
+            if not side:
+                assert tag[0] not in ("dirichlet", "robin", "neumann")
+                continue
+            side, = side
+            run = x if side in ("bottom", "top") else y
+            spans = [i for i, s in enumerate(spec.robin_spans)
+                     if s.side == side and s.lo < run < s.hi]
+            if side == spec.dirichlet_side:
+                expected = ("dirichlet", -1, 0.0)
+            elif spans:
+                expected = ("robin", spans[0], spec.robin_spans[spans[0]].beta)
+            else:
+                expected = ("neumann", -1, 0.0)
+            assert tag == expected
+            seen.add(expected[0])
+        assert seen == {"dirichlet", "robin", "neumann"}
 
     def test_delaunay_away_from_constraints(self):
         spec = mesh.GeometrySpec(sensors=[], h=0.12)
@@ -478,9 +512,9 @@ class TestMeshStress:
         assert np.array_equal(m1.seg_nodes, m2.seg_nodes)
 
     @pytest.mark.parametrize("h, n_nodes, digest", [
-        (0.04, 1665, "f2070d94cdc72298a6b4abb7c8189573521d06d69ae720e6e71cf6d6331094c1"),
-        (0.09, 464, "9c15d1aefc98c935240e38072d5071d015f437bfaa539955841a1dda6ad99f6a"),
-    ])
+        (0.04, 1665, "b05d47675c2048a72d6654549f11fed7956184c551739e59a8a39269fa843719"),
+        (0.09, 464, "349a96fa9e487a25bec4e9935a2bf3174c2541c52bc2982f7d07f24de8ff94f7"),
+    ], ids=["h0.04", "h0.09"])
     def test_default_geometry_mesh_bytes_pinned(self, h, n_nodes, digest):
         # any change of the mesher that moves a byte of the mesh (node
         # order, a coordinate, a tag) changes every downstream result
@@ -491,15 +525,15 @@ class TestMeshStress:
 
     @pytest.mark.parametrize("layout, n_nodes, digest", [
         ({"robin_spans": [mesh.RobinSpan("bottom", 0.0, 0.5, 10.0)]}, 1660,
-         "4cbb2982933255332856d21413eef58b6c7eb43c352ac1fbc81489685f00de94"),
+         "c64b8340bfac272ad2362c246d97bf5fc6269395cb963c6e6ff236c1c20c5217"),
         ({"dirichlet_side": "all"}, 1665,
          "7202f9d49cc4929c15f21eeda6083cee42615b3974eec153cab9cb007dac904d"),
         ({"sensors": TOUCHING_SENSORS, "h": 0.05}, 1239,
-         "2963fc490b28cd132ac670982d614b9ff3d62f7621e3f9f5c8e8d96dd6aba83a"),
+         "b288ceb6ef970f7ec5b1adf8e9a6a87cc6f3dddb086ae38d188f479628d44dcd"),
         ({"inclusion_polygon": GON40, "h": 0.05}, 1110,
-         "a77b3ace297f25346d9b8a9f21f8a50ee38a46d3edc189a0e653296661063693"),
+         "9c4dab575e5bcf4d96d2e3f97267cb23017939a4551fccc5ac76d81f19e3b053"),
         ({"spline_control": None, "sensors": [], "h": 0.1}, 302,
-         "8e82079593763c4a6e11e5dfbf842c4f3bf1137df519e86165644aa68c5c1508"),
+         "768249cb0e0156815e0dd1dec0693f131b7eafdeadb00e205d9cd2443fa3a921"),
         ROBIN_THREE_SIDES,
     ], ids=["case1-robin", "dirichlet-all", "touching-sensors", "polygon-40gon",
             "no-inclusion-no-sensors", "robin-three-sides"])
@@ -527,7 +561,7 @@ class TestMeshStress:
 
         # sensors 0 and 1 on the outer box: the outer boundary condition
         on_outer = ((np.abs(y) < 1e-9) & (x < 0.6)) | ((np.abs(x) < 1e-9) & (y < 0.3))
-        assert {kind for kind, _ in tags(on_outer)} <= {"dirichlet", "robin"}
+        assert tags(on_outer) == {("neumann", -1)}
         # sensor 2's right side is the hold-all's left side
         assert tags((np.abs(x - 0.35) < 1e-9) & (y > 0.35) & (y < 0.65)) == {("holdall", -1)}
         # the side sensors 0 and 1 share belongs to sensor 0
@@ -567,14 +601,33 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("lo, hi, beta", [
         (-0.5, 0.5, 10.0), (0.5, 1.5, 10.0), (math.nan, 0.5, 10.0), (0.0, 0.5, -1.0),
-        (0.0, 0.5, math.nan),
-    ], ids=["lo-below-0", "hi-above-1", "nan-lo", "negative-beta", "nan-beta"])
+        (0.0, 0.5, math.nan), (0.3, 0.3, 10.0),
+    ], ids=["lo-below-0", "hi-above-1", "nan-lo", "negative-beta", "nan-beta", "zero-length"])
     def test_robin_span_bounds(self, lo, hi, beta):
         # the schema's bounds guard JSON input only; unchecked, a span from
         # -0.5 meshed outside the unit square (area 1.25 at h = 0.1)
         spec = mesh.GeometrySpec(robin_spans=[mesh.RobinSpan("bottom", lo, hi, beta)])
-        with pytest.raises(ValueError, match="needs 0 <= lo <= hi <= 1, beta >= 0"):
+        with pytest.raises(ValueError, match="needs 0 <= lo < hi <= 1, beta >= 0"):
             spec.validate()
+
+    @pytest.mark.parametrize("second, first", [
+        (("bottom", 0.4, 1.0), 0), (("bottom", 0.1, 0.2), 0), (("left", 0.0, 1.0), 1),
+    ], ids=["overlap", "nested", "whole-side"])
+    def test_overlapping_robin_spans(self, second, first):
+        # unchecked, the first span took the shared edges: bottom [0, 0.6]
+        # and [0.4, 1.0] gave [0.4, 0.6] beta 10 at h = 0.1
+        spans = [mesh.RobinSpan("bottom", 0.0, 0.6, 10.0), mesh.RobinSpan("left", 0.2, 0.5, 1.0),
+                 mesh.RobinSpan(*second, 5.0)]
+        with pytest.raises(ValueError, match=rf"robin_spans\[2\]: overlaps "
+                                             rf"robin_spans\[{first}\] on side '{second[0]}'"):
+            mesh.GeometrySpec(robin_spans=spans).validate()
+
+    def test_robin_spans_may_share_an_end_point(self):
+        spec = mesh.GeometrySpec(robin_spans=[mesh.RobinSpan("bottom", 0.0, 0.5, 10.0),
+                                              mesh.RobinSpan("bottom", 0.5, 1.0, 5.0)], h=0.1)
+        m = mesh.build_mesh(spec)
+        assert set(zip(m.seg_ref[m.seg_kind == "robin"].tolist(),
+                       m.seg_beta[m.seg_kind == "robin"].tolist())) == {(0, 10.0), (1, 5.0)}
 
     @pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
     def test_mesh_size_positive(self, h):
@@ -615,6 +668,12 @@ class TestSparseOperators:
         robin = fem.assemble_heat(m).robin
         exact = beta * (hi ** 3 - lo ** 3) / 3.0
         assert abs(u @ (robin @ u) - exact) <= 1e-12 * exact
+
+    def test_zero_flux_edges_assemble_nothing(self):
+        # a homogeneous Neumann edge adds no boundary term to the weak form;
+        # the default layout has no Robin span
+        m = mesh.build_mesh(mesh.GeometrySpec(spline_control=mesh.DEFAULT_INCLUSION_CONTROL))
+        assert fem.assemble_heat(m).robin.nnz == 0
 
     def test_elasticity_annihilates_rigid_motions(self, robin_three_sides_mesh):
         m = robin_three_sides_mesh

@@ -60,10 +60,10 @@ def test_msh_roundtrip(tmp_path, small_mesh):
     for k, elems in enumerate(small_mesh.sensor_elements):
         assert np.array_equal(np.flatnonzero(tri_phys == 100 + k), elems)
 
-    fixed = {"dirichlet": 11, "interface": 12, "holdall": 13}
+    fixed = {"dirichlet": 11, "interface": 12, "holdall": 13, "neumann": 19}
     for phys, kind, ref in zip(segs[:, 3], small_mesh.seg_kind, small_mesh.seg_ref):
         if kind == "robin":
-            assert phys == (19 if ref < 0 else 20 + ref)
+            assert phys == 20 + ref
         elif kind == "sensor":
             assert phys == 30 + ref
         else:
