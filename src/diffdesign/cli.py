@@ -20,10 +20,15 @@ EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
 
 
-def _add_outputs(parser):
+#: the commands that read and write the FIM tensor cache
+CACHE_COMMANDS = ("assemble-fim", "pipeline", "compare")
+
+
+def _add_outputs(parser, command):
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--stage-cache", default=None,
-                        help="directory for the FIM tensor cache")
+    if command in CACHE_COMMANDS:
+        parser.add_argument("--stage-cache", default=None,
+                            help="directory for the FIM tensor cache")
 
 
 def _cache_dir(args):
@@ -57,11 +62,11 @@ def build_parser():
     ]:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        _add_outputs(p)
+        _add_outputs(p, name)
 
     p = sub.add_parser("compare", help="run several cases and tabulate the criteria")
     p.add_argument("configs", nargs="+", help="case configuration files")
-    _add_outputs(p)
+    _add_outputs(p, "compare")
 
     p = sub.add_parser("make-configs",
                        help="write the five comparison case configurations")
@@ -89,11 +94,12 @@ def _run(args):
         print(f"table written to {Path(args.out) / 'compare.csv'}")
         return 0
 
-    pipe = Pipeline(load_config(args.config), args.out, cache_dir=_cache_dir(args))
+    cache_dir = _cache_dir(args) if args.command in CACHE_COMMANDS else None
+    pipe = Pipeline(load_config(args.config), args.out, cache_dir=cache_dir)
     out = Path(args.out)
     _make_dir("--out", out)
-    if args.command in ("assemble-fim", "pipeline"):    # the commands that use the cache
-        _make_dir("--stage-cache", _cache_dir(args))
+    if cache_dir is not None:
+        _make_dir("--stage-cache", cache_dir)
 
     if args.command == "generate-mesh":
         m = pipe.mesh()

@@ -274,7 +274,8 @@ def _read_json(source):
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON: {err}") from err
     except OSError as err:
-        raise ConfigError(f"cannot read config: {err}") from err
+        # load_config puts a path in front, so the message does not repeat it
+        raise ConfigError(f"cannot read config: {err.strerror or err}") from err
 
 
 def load_config(source) -> Config:
@@ -282,16 +283,24 @@ def load_config(source) -> Config:
     `read`) or a `str`/`os.PathLike` path.
 
     Any other source, and every schema violation, raises ConfigError
-    carrying the JSON path of the offending element.
+    carrying the JSON path of the offending element, after the file's path
+    when the source is one.
     """
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            return _config_of(_read_json(source))
+        except ConfigError as err:
+            raise ConfigError(f"{os.fspath(source)}: {err}") from err
+    if hasattr(source, "read"):
+        return _config_of(_read_json(source))
     if isinstance(source, dict):
-        raw = source
-    elif hasattr(source, "read") or isinstance(source, (str, os.PathLike)):
-        raw = _read_json(source)
-    else:
-        raise ConfigError(f"$: expected a dict, a file object or a path, "
-                          f"not {type(source).__name__}")
+        return _config_of(source)
+    raise ConfigError(f"$: expected a dict, a file object or a path, "
+                      f"not {type(source).__name__}")
 
+
+def _config_of(raw) -> Config:
+    """The validated Config of a JSON document."""
     errors = sorted(_schema_errors(raw, SCHEMA), key=lambda e: e[0])
     if errors:
         path, message = errors[0]

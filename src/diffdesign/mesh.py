@@ -1,15 +1,18 @@
 """Conforming triangulations of the unit square with tagged subdomains.
 
 The generator is an incremental Bowyer-Watson triangulator with constrained
-edges (recovered by Sloan-style edge flips) and Ruppert-style refinement:
-triangles below the angle bound or above the target edge length are split at
-their circumcenters, and constrained segments whose diametral circle is
+edges and Ruppert-style refinement. It makes the mesh conform to the input
+segments by splitting alone: a segment missing from the first triangulation
+is split at its midpoint until its pieces are edges. Then triangles below
+the angle bound or above the target edge length are split at their
+circumcenters, and constrained segments whose diametral circle is
 encroached are split at their midpoints. All processing orders are fixed by
 creation index, so the same input always yields the same mesh.
 
 Every constrained edge records its source, the input polyline it came from,
 and both halves of a split inherit it, so segment tags are read from the
-input, not guessed from geometry. Crossings are checked once, on the input.
+input, not guessed from geometry. Crossings are checked on the input
+segments, never on the triangulation's edges.
 
 Adjacency is one map from each directed edge to its counter-clockwise
 triangle, and each predicate (orientation, proper crossing, diametral-circle
@@ -366,17 +369,22 @@ def strip_super(tr):
 
 
 def recover_constraints(tr, segments):
-    """Force each segment (u, v, source) to appear as a constrained edge
-    that records `source`, the index of the input polyline it came from.
+    """Make each segment (u, v, source) conform: cover it with constrained
+    edges that record `source`, the index of the input polyline it came from.
 
-    u and v index the original input points handed to the triangulator.
-    Raises ConstraintCrossing when a segment crosses an edge recovered
-    before it. Flipped regions are re-legalized, so the Delaunay property
-    holds away from the constraints.
+    u and v index the original input points handed to the triangulator. A
+    segment that is no edge is split at a vertex lying on it, or else at its
+    midpoint, which goes in through `Triangulation.insert`; both halves
+    recurse, as in refinement (Ruppert, J. Algorithms 18, 1995), so the
+    triangulation stays Delaunay away from the constraints. Raises
+    ConstraintCrossing when a segment that is no edge crosses an input
+    segment; two edges never cross, so every crossing pair is caught.
     """
     remap = tr.input_index
+    ends = np.array([(tr.points[remap[u]], tr.points[remap[v]]) for u, v, _ in segments],
+                    dtype=float).reshape(-1, 2, 2)
     for u, v, source in segments:
-        _enforce_segment(tr, int(remap[u]), int(remap[v]), source)
+        _enforce_segment(tr, int(remap[u]), int(remap[v]), source, ends)
     return tr
 
 
@@ -411,7 +419,7 @@ def _collinear_between(p, a, b, tol=1e-12):
     return (cross * cross <= tol * length2 * length2) & (1e-12 < t) & (t < 1.0 - 1e-12)
 
 
-def _enforce_segment(tr, u, v, source):
+def _enforce_segment(tr, u, v, source, ends):
     if u == v:
         return
     if tr.has_edge(u, v):
@@ -420,56 +428,17 @@ def _enforce_segment(tr, u, v, source):
         tr.constrained[key] = min(source, tr.constrained.get(key, source))
         return
     pu, pv = tr.points[u], tr.points[v]
-    # a vertex on the segment splits the constraint
-    for w in range(len(tr.points)):
-        if w in (u, v):
-            continue
-        if _collinear_between(tr.points[w], pu, pv):
-            _enforce_segment(tr, u, w, source)
-            _enforce_segment(tr, w, v, source)
-            return
-    crossing = deque(_edges_crossing(tr, u, v))
-    budget = 20 * (len(crossing) + 4) ** 2 + 200
-    touched = []
-    while crossing:
-        budget -= 1
-        if budget < 0:
-            raise ConstraintCrossing(
-                f"cannot recover segment ({u}, {v}); constraints may intersect")
-        key = crossing.popleft()
-        if not tr.has_edge(*key):
-            continue
-        if key in tr.constrained:
-            raise ConstraintCrossing(
-                f"segment ({u}, {v}) crosses constrained edge {key}")
-        quad = tr._quad(key)
-        if quad is None or not tr._flippable(key, quad):
-            crossing.append(key)
-            continue
-        new_key = tr._flip(key, quad)
-        touched.append(new_key)
-        if _segments_cross(tr.points[new_key[0]], tr.points[new_key[1]], pu, pv):
-            crossing.append(new_key)
-    if not tr.has_edge(u, v):
-        raise ConstraintCrossing(f"failed to recover segment ({u}, {v})")
-    tr.constrained[_edge_key(u, v)] = source
-    tr.legalize(touched)
-
-
-def _edges_crossing(tr, u, v):
-    pu, pv = tr.points[u], tr.points[v]
-    crossing = []
-    for a, b in tr.tri_at:
-        # each undirected edge once: as (a, b) with a < b when both exist
-        if a > b and (b, a) in tr.tri_at:
-            continue
-        key = _edge_key(a, b)
-        if u in key or v in key:
-            continue
-        if _segments_cross(tr.points[key[0]], tr.points[key[1]], pu, pv):
-            crossing.append(key)
-    crossing.sort()
-    return crossing
+    if _segments_cross(pu, pv, ends[:, 0].T, ends[:, 1].T).any():
+        raise ConstraintCrossing(f"segment ({u}, {v}) crosses an input segment")
+    # a vertex on the segment splits the constraint, else its midpoint does
+    on = (w for w in range(len(tr.points))
+          if w not in (u, v) and _collinear_between(tr.points[w], pu, pv))
+    w = next(on, None)
+    if w is None:
+        w = tr.add_point((0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])))
+        tr.insert(w, tr.locate(tr.points[w]))
+    _enforce_segment(tr, u, w, source, ends)
+    _enforce_segment(tr, w, v, source, ends)
 
 
 # -- refinement -------------------------------------------------------------

@@ -735,10 +735,13 @@ class TestCli:
         assert "$.design.instants" in err and reason in err
         assert not (tmp_path / "out").exists()
 
-    def test_missing_config_exit_code(self, tmp_path):
-        code = cli.main(["pipeline", "--config", str(tmp_path / "none.json"),
-                         "--out", str(tmp_path)])
+    def test_missing_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "none.json"
+        code = cli.main(["pipeline", "--config", str(path), "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: {path}: cannot read config: " in err
+        assert err.count(str(path)) == 1
 
     def test_infeasible_exit_code(self, tmp_path):
         # measuring only at t = 0 yields zero information matrices
@@ -810,6 +813,31 @@ class TestCli:
         assert "$.case: 2 cases are named 'fast'" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"geometry": {"h": -1}}),
+         "$.geometry.h: -1 is less than or equal to the minimum of 0.0"),
+        ("{", "invalid JSON: "),
+    ], ids=["bad-value", "bad-json"])
+    def test_compare_names_the_invalid_file(self, tmp_path, capsys, text, message):
+        # without the file's path, the message did not say which case is bad
+        good = write_config(tmp_path)
+        bad = tmp_path / "case3.json"
+        bad.write_text(text)
+        code = cli.main(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp")])
+        assert code == cli.EXIT_CONFIG
+        assert f"configuration error: {bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate-mesh", "solve-forward", "sensitivities"])
+    def test_stage_cache_only_where_used(self, tmp_path, capsys, command):
+        # these commands never touch the tensor cache, and took the option
+        # only to ignore it
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(write_config(tmp_path)),
+                      "--out", str(tmp_path / "out"), "--stage-cache", str(tmp_path / "X")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "--stage-cache" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     @pytest.mark.parametrize("poly, reason", [
         ([[0.45, 0.45], [0.55, 0.55], [0.55, 0.45], [0.45, 0.55]], "crossing edges"),
         ([[0.5, 0.5], [0.55, 0.5], [0.6, 0.5]], "zero area"),
@@ -830,8 +858,8 @@ class TestCli:
         ({"geometry.h": 0.005, "geometry.node_cap": 5000}, "generate-mesh", "$.geometry.h"),
         # 8 bytes x 4 fields x 10^6 steps x 200 nodes at least: 6.4 GB
         ({"physics.n_steps": 10 ** 6}, "generate-mesh", "$.physics.n_steps"),
-        # loads (2/h^2 = 2 nodes: 16 MB), but the mesh has 300 nodes, so the
-        # trajectory would take 8 bytes x 1 x (10^6 + 1) x 300 = 2.24 GiB
+        # loads (2/h^2 = 2 nodes: 16 MB), but the mesh has 298 nodes, so the
+        # trajectory would take 8 bytes x 1 x (10^6 + 1) x 298 = 2.22 GiB
         ({"geometry": {"h": 1.0}, "basis": {"n_basis": 1}, "physics": {"n_steps": 10 ** 6}},
          "solve-forward", "$.physics.n_steps"),
     ], ids=["h-against-node-cap", "n-steps", "n-steps-on-coarse-mesh"])

@@ -46,6 +46,39 @@ def triangle_array(tr):
     return np.array([tr.tri_v[t] for t in tr.triangle_ids()], dtype=int)
 
 
+def line_positions(nodes, a, b):
+    """Position of each node along segment ab (0 at a, 1 at b); NaN for a
+    node farther than 1e-9 from its line."""
+    nodes = np.asarray(nodes, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    d = b - a
+    q = nodes - a
+    off = np.abs(d[0] * q[:, 1] - d[1] * q[:, 0]) > 1e-9 * math.hypot(*d)
+    return np.where(off, np.nan, q @ d / (d @ d))
+
+
+def covering_edges(nodes, edges, a, b):
+    """Indices of the (u, v) edges that lie on segment ab, after checking
+    that they form one path from a to b."""
+    t = line_positions(nodes, a, b)
+    on = (t >= -1e-12) & (t <= 1.0 + 1e-12)
+    hits = [i for i, (u, v) in enumerate(edges) if on[u] and on[v]]
+    pieces = sorted(sorted((t[u], t[v])) for u, v in (edges[i] for i in hits))
+    assert pieces, f"no edge on segment {a} -> {b}"
+    assert abs(pieces[0][0]) <= 1e-12 and abs(pieces[-1][1] - 1.0) <= 1e-12
+    assert all(end == start for (_, end), (start, _) in zip(pieces, pieces[1:]))
+    return hits
+
+
+def assert_segment_recovered(tr, u, v, source):
+    """The constrained edges lying on input segment uv form one path from u
+    to v, each an edge of the triangulation recording `source`."""
+    keys = list(tr.constrained)
+    u, v = tr.input_index[u], tr.input_index[v]
+    hits = covering_edges(tr.point_array(), keys, tr.points[u], tr.points[v])
+    assert all(tr.has_edge(*keys[i]) and tr.constrained[keys[i]] == source for i in hits)
+
+
 def edge_use_counts(triangles):
     counts = {}
     for a, b, c in triangles:
@@ -130,8 +163,7 @@ class TestConstraints:
         pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.05), (0.5, 0.95)]
         tr = delaunay(pts)
         mesh.recover_constraints(tr, [(0, 2, 0)])
-        u, v = tr.input_index[0], tr.input_index[2]
-        assert tr.has_edge(u, v)
+        assert_segment_recovered(tr, 0, 2, 0)
 
     def test_existing_edge_idempotent(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -175,7 +207,7 @@ class TestConstraints:
         tr = mesh.bowyer_watson(pts)
         u, v = tr.input_index[0], tr.input_index[1]
         assert not tr.has_edge(u, v)
-        mesh.recover_constraints(tr, [(0, 1, 0)])  # flips
+        mesh.recover_constraints(tr, [(0, 1, 0)])  # inserts midpoints
         assert tr.triangle_ids() == sorted(tr.tri_v)
         mesh.strip_super(tr)
         mesh.refine(tr, h=0.2)  # inserts and splits
@@ -428,6 +460,53 @@ class TestBuildMesh:
         # with no inclusion/sensors the only constraints are the boundary bound
         assert circumcircle_oracle(m.nodes, m.triangles)
 
+    @pytest.mark.parametrize("layout", [
+        {"h": 1.0}, {"h": 0.5}, {"h": 0.2, "sensors": [(0.002, 0.1, 0.2, 0.3)]},
+    ], ids=["h1.0", "h0.5", "sensor-near-left"])
+    def test_recovered_mesh_conforms(self, layout, monkeypatch):
+        # each layout's first triangulation misses input segments that no
+        # vertex lies on, so recovery has to split them
+        recover, missing = mesh.recover_constraints, []
+
+        def counting(tr, segments):
+            pts, remap = tr.point_array(), tr.input_index
+            for u, v, _ in segments:
+                u, v = remap[u], remap[v]
+                t = line_positions(pts, pts[u], pts[v])
+                if not tr.has_edge(u, v) and not ((t > 1e-12) & (t < 1.0 - 1e-12)).any():
+                    missing.append((u, v))
+            return recover(tr, segments)
+        monkeypatch.setattr(mesh, "recover_constraints", counting)
+        spec = mesh.GeometrySpec(**{"spline_control": mesh.DEFAULT_INCLUSION_CONTROL, **layout})
+        m = mesh.build_mesh(spec)
+        assert missing
+
+        # every input polyline is covered, and each constrained edge lies on
+        # one and carries the tag of the first polyline that holds it
+        polylines = [(mesh._box_polyline((0.0, 0.0, 1.0, 1.0)),
+                      ({"dirichlet", "robin", "neumann"}, -1)),
+                     (mesh._box_polyline(spec.holdall), ({"holdall"}, -1))]
+        polylines += [(mesh._box_polyline(box), ({"sensor"}, k))
+                      for k, box in enumerate(spec.sensors)]
+        polylines.append((spec.polygon(), ({"interface"}, -1)))
+        owner = {}
+        for pts, tag in polylines:
+            pts = np.asarray(pts, dtype=float)
+            for a, b in zip(pts, np.roll(pts, -1, axis=0)):
+                for i in covering_edges(m.nodes, m.seg_nodes, a, b):
+                    owner.setdefault(i, tag)
+        assert sorted(owner) == list(range(len(m.seg_nodes)))
+        for i, (kinds, ref) in owner.items():
+            assert m.seg_kind[i] in kinds and m.seg_ref[i] == ref
+
+        edges = set(edge_use_counts(m.triangles))
+        assert all((min(u, v), max(u, v)) in edges for u, v in m.seg_nodes)
+        # empty away from the constraints, and here across them as well
+        assert circumcircle_oracle(m.nodes, m.triangles)
+        assert min(triangle_min_angle(p) for p in m.nodes[m.triangles]) \
+            >= mesh.THETA_MIN - 1e-9
+        assert np.all(m.areas() > 0.0) and abs(m.areas().sum() - 1.0) <= 1e-12
+
 
 class TestExtractPatch:
     """The typed element sets of the mesh and the local numbering that
@@ -497,7 +576,7 @@ class TestMeshStress:
         pts = np.vstack([[(0.0, 0.501), (1.0, 0.502)], cloud])
         tr = mesh.bowyer_watson(pts)
         mesh.recover_constraints(tr, [(0, 1, 0)])
-        assert tr.has_edge(tr.input_index[0], tr.input_index[1])
+        assert_segment_recovered(tr, 0, 1, 0)
 
     def test_build_deterministic(self):
         spec = mesh.GeometrySpec(

@@ -52,6 +52,13 @@ def left_right_swapped(original):
     return {**original, "left": original["right"], "right": original["left"]}
 
 
+def records_unsplit(original):
+    # a segment missing from the triangulation is recorded as it is
+    def enforce_segment(tr, u, v, source, ends):
+        tr.constrained[mesh._edge_key(u, v)] = source
+    return enforce_segment
+
+
 def code_blind(original):
     # the key of the config fields alone, as when a hand-kept version
     # constant is not raised
@@ -85,6 +92,9 @@ MUTANTS = [
                  lambda: test_mesh.TestMeshStress().test_precedence_layout_mesh_bytes_pinned(
                      *test_mesh.ROBIN_THREE_SIDES), (), AssertionError,
                  id="sides-left-right-swapped"),
+    pytest.param(mesh, "_enforce_segment", records_unsplit,
+                 test_mesh.TestConstraints().test_forced_diagonal, (), AssertionError,
+                 id="missing-segment-recorded-unsplit"),
     # the insertion walk loses the point before the oracle's check is reached
     pytest.param(mesh, "_in_circumcircle", inverted,
                  test_mesh.TestDelaunay().test_random_cloud_empty_circumcircle, (),
