@@ -6,8 +6,11 @@ segments by splitting alone: a segment missing from the first triangulation
 is split at its midpoint until its pieces are edges. Then triangles below
 the angle bound or above the target edge length are split at their
 circumcenters, and constrained segments whose diametral circle is
-encroached are split at their midpoints. All processing orders are fixed by
-creation index, so the same input always yields the same mesh.
+encroached, or that hide a circumcenter from its triangle, are split at
+their midpoints. So a built mesh has every angle >= `THETA_MIN` (20 degrees)
+and every edge <= h; otherwise the build raises RefinementBudgetExceeded.
+All processing orders are fixed by creation index, so the same input always
+yields the same mesh.
 
 Every constrained edge records its source, the input polyline it came from,
 and both halves of a split inherit it, so segment tags are read from the
@@ -205,16 +208,13 @@ class Triangulation:
         self.points.append((float(p[0]), float(p[1])))
         return len(self.points) - 1
 
-    def insert(self, idx, seed):
-        """Bowyer-Watson insertion of an already-appended point, starting
-        from the triangle `seed` that `locate` found for it.
-
-        The cavity never grows across constrained edges, so constraints
-        survive refinement insertions.
-        """
-        p = self.points[idx]
+    def cavity(self, p):
+        """The Bowyer-Watson cavity of p, grown from the triangle `locate`
+        finds (empty outside the hull). It never grows across constrained
+        edges, so constraints survive refinement insertions."""
+        seed = self.locate(p)
         if seed is None:
-            raise DegenerateInput(f"point {p} outside the triangulated domain")
+            return set()
         cavity = {seed}
         stack = [seed]
         while stack:
@@ -231,6 +231,14 @@ class Triangulation:
                                     self.points[oc], p) > -1e-13:
                     cavity.add(other)
                     stack.append(other)
+        return cavity
+
+    def insert(self, idx, cavity=None):
+        """Bowyer-Watson insertion of an already-appended point into its
+        `cavity`, found afresh when not given; returns the new triangle ids."""
+        cavity = self.cavity(self.points[idx]) if cavity is None else cavity
+        if not cavity:
+            raise DegenerateInput(f"point {self.points[idx]} outside the triangulated domain")
         boundary = []
         for tid in cavity:
             a, b, c = self.tri_v[tid]
@@ -326,7 +334,7 @@ def bowyer_watson(points):
     tr._create(s0, s1, s2)
     for p in merged:
         idx = tr.add_point(p)
-        tr.insert(idx, tr.locate(tr.points[idx]))
+        tr.insert(idx)
 
     has_interior = any(
         all(v not in tr._super for v in verts) for verts in tr.tri_v.values()
@@ -436,7 +444,7 @@ def _enforce_segment(tr, u, v, source, ends):
     w = next(on, None)
     if w is None:
         w = tr.add_point((0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])))
-        tr.insert(w, tr.locate(tr.points[w]))
+        tr.insert(w)
     _enforce_segment(tr, u, w, source, ends)
     _enforce_segment(tr, w, v, source, ends)
 
@@ -444,19 +452,12 @@ def _enforce_segment(tr, u, v, source, ends):
 # -- refinement -------------------------------------------------------------
 
 
-def _tri_geometry(tr, tid):
-    a, b, c = tr.tri_v[tid]
-    pa, pb, pc = tr.points[a], tr.points[b], tr.points[c]
-    la = math.dist(pb, pc)
-    lb = math.dist(pc, pa)
-    lc = math.dist(pa, pb)
-    longest = max(la, lb, lc)
-    # min angle is opposite the shortest edge
-    shortest = min(la, lb, lc)
-    others = sorted((la, lb, lc))[1:]
-    cos_min = (others[0] ** 2 + others[1] ** 2 - shortest ** 2) / (2.0 * others[0] * others[1])
-    min_angle = math.degrees(math.acos(max(-1.0, min(1.0, cos_min))))
-    return min_angle, longest
+def _tri_geometry(pa, pb, pc):
+    """(min angle in degrees, longest edge) of triangle (pa, pb, pc)."""
+    # the min angle is opposite the shortest edge
+    shortest, mid, longest = sorted((math.dist(pb, pc), math.dist(pc, pa), math.dist(pa, pb)))
+    cos_min = (mid ** 2 + longest ** 2 - shortest ** 2) / (2.0 * mid * longest)
+    return math.degrees(math.acos(max(-1.0, min(1.0, cos_min)))), longest
 
 
 def _segment_encroached(tr, key):
@@ -505,12 +506,13 @@ def refine(tr, h, node_cap=200000):
     those not constrained yet get source 0, the outer polyline of
     `build_mesh`. A triangle is split when its minimum angle falls below
     `THETA_MIN` degrees or its longest edge exceeds `h`; `math.inf` refines
-    by angle alone.
-    A pass queues every triangle in id order, then those its splits create,
-    and skips the good and the stalled ones as it pops them (badness
-    depends only on a triangle's vertices); passes repeat while they
-    progress. Raises RefinementBudgetExceeded when the node cap is hit
-    first.
+    by angle alone. Its circumcenter goes in when the triangle lies in its
+    cavity; else the segment that the circumcenter encroaches, or else the
+    first one hiding it from the triangle (Shewchuk, Comput. Geom. 22,
+    2002), is split and the triangle queued again. A pass queues every
+    triangle in id order, then those its splits create; passes repeat while
+    they progress. So every angle ends >= `THETA_MIN` and every edge <= `h`,
+    unless RefinementBudgetExceeded is raised at the node cap.
     """
     for u, v in tr.tri_at:
         if (v, u) not in tr.tri_at:
@@ -522,40 +524,43 @@ def refine(tr, h, node_cap=200000):
         if _segment_encroached(tr, key):
             _split_segment(tr, key, work, node_cap, segments)
 
-    stalled = set()
     progressed = True
     while progressed:
         work.extend(tr.triangle_ids())
         progressed = False
         while work:
             tid = work.popleft()
-            if tid not in tr.tri_v or tid in stalled:
+            if tid not in tr.tri_v:
                 continue
-            min_angle, longest = _tri_geometry(tr, tid)
+            corners = [tr.points[w] for w in tr.tri_v[tid]]
+            min_angle, longest = _tri_geometry(*corners)
             if min_angle >= THETA_MIN * (1.0 - 1e-12) and longest <= h * (1.0 + 1e-12):
                 continue
             if len(tr.points) >= node_cap:
                 raise RefinementBudgetExceeded(f"node cap {node_cap} reached")
-            a, b, c = tr.tri_v[tid]
-            center = _circumcenter(tr.points[a], tr.points[b], tr.points[c])
+            center = _circumcenter(*corners)
             key = segments.encroached(center)
-            if key is not None:
-                _split_segment(tr, key, work, node_cap, segments)
-                work.append(tid)
-                progressed = True
-                continue
-            seed = tr.locate(center)
-            if seed is None or _too_close(tr, center, tid, longest):
-                stalled.add(tid)
-                continue
-            m = tr.add_point(center)
-            work.extend(tr.insert(m, seed))
+            if key is None:
+                cavity = _visible_cavity(tr, tid, center)
+                if cavity is not None:
+                    work.extend(tr.insert(tr.add_point(center), cavity))
+                    progressed = True
+                    continue
+                key = segments.first_crossed(tuple(np.mean(corners, axis=0)), center)
+            _split_segment(tr, key, work, node_cap, segments)
+            work.append(tid)
             progressed = True
     return tr
 
 
+def _visible_cavity(tr, tid, p):
+    """p's cavity when it holds triangle `tid`, which then sees p; else None."""
+    cavity = tr.cavity(p)
+    return cavity if tid in cavity else None
+
+
 class _SegmentCache:
-    """`_encroaches` over every constrained segment at once.
+    """`_encroaches` and `_segments_cross` over every constrained segment.
 
     Holds the constrained keys sorted, beside an (s, 4) array of their end
     points; `split` updates both along with `tr.constrained`, so during
@@ -592,10 +597,15 @@ class _SegmentCache:
         hits = np.flatnonzero(_encroaches(p, self.ends[:, :2].T, self.ends[:, 2:].T))
         return self.keys[hits[0]] if len(hits) else None
 
-
-def _too_close(tr, p, tid, longest):
-    """p lies within 1e-7 `longest` of a vertex of triangle `tid`."""
-    return any(math.dist(p, tr.points[w]) < 1e-7 * longest for w in tr.tri_v[tid])
+    def first_crossed(self, p, q):
+        """The constrained key that segment pq crosses nearest p (at fraction
+        dp / (dp - dq) of the way); DegenerateInput when it crosses none."""
+        u, v = self.ends[:, :2].T, self.ends[:, 2:].T
+        hits = np.flatnonzero(_segments_cross(p, q, u, v))
+        if not len(hits):
+            raise DegenerateInput(f"no constrained segment crosses {p} -> {q}")
+        dp, dq = _orient(u, v, p)[hits], _orient(u, v, q)[hits]
+        return self.keys[hits[np.argmin(dp / (dp - dq))]]
 
 
 # -- geometry specification --------------------------------------------------

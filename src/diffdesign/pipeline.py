@@ -100,12 +100,12 @@ class Pipeline:
             cfg = self.config.basis
             curve = self.curve()
             centers = None
+            # more fields than interface vertices leaves the Gram matrix singular
+            if cfg.n_basis > len(curve.vertices):
+                raise ConfigError(
+                    f"$.basis.n_basis: {cfg.n_basis} fields need as many interface "
+                    f"vertices; the mesh has {len(curve.vertices)}")
             if cfg.center_mode == "farthest-point" and cfg.n_basis > 1:
-                n_vertices = len(curve.vertices)
-                if cfg.n_basis - 1 > n_vertices:
-                    raise ConfigError(
-                        f"$.basis.n_basis: {cfg.n_basis - 1} farthest-point centers "
-                        f"need as many interface vertices; the mesh has {n_vertices}")
                 dist = shape.graph_geodesics(curve)
                 picks = shape.farthest_point_centers(dist, cfg.n_basis - 1, seed=0)
                 centers = sorted(float(curve.arc[i]) for i in picks)

@@ -907,6 +907,22 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert "$.basis.n_basis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("center_mode", ["equidistant", "farthest-point"])
+    def test_more_fields_than_interface_vertices_exit_code(self, tmp_path, capsys,
+                                                           center_mode):
+        # 9 fields on an 8-vertex interface leave the Gram matrix singular,
+        # which would end the run later as a numerical failure (exit 3)
+        cfg_path = write_config(tmp_path, {
+            "geometry": {"h": 0.2, "spline_samples": 8},
+            "basis": {"n_basis": 9, "center_mode": center_mode},
+            "physics": {"n_steps": 2},
+            "design": {"budget": 2},
+        })
+        code = cli.main(["pipeline", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "$.basis.n_basis" in capsys.readouterr().err
+
     def test_solve_forward_snapshots_match_pipeline(self, tmp_path):
         payload = {**FAST_CONFIG, "output": {"write_fields": True}}
         cfg_path = write_config(tmp_path, payload)

@@ -120,6 +120,34 @@ ROBIN_THREE_SIDES = (
     1207, "05df92351dfe4ed620e82b8c005a43eb59362aec90ed4d6ca185320d7e26332c")
 
 
+#: sensor boxes a hair from the left side: the slivers between box and side
+#: have circumcenters outside the square or across the box's side
+HIDDEN_CIRCUMCENTER_LAYOUTS = [
+    {"h": 0.1, "sensors": [(0.00049, 0.11497, 0.10049, 0.26497)]},
+    {"h": 0.3, "sensors": [(0.00069, 0.19465, 0.10069, 0.34465)]},
+    {"h": 0.5, "sensors": [(0.002, 0.1, 0.2, 0.3)], "node_cap": 3000},
+]
+
+
+def sliver_behind_segment():
+    """A hand-built triangulation of the unit square, the constrained segment
+    s = (0.4, 0.45)-(0.4, 0.55) and the key of s. Its first triangle is a
+    5-degree sliver left of s, not on s; the sliver's circumcenter lies
+    right of s, outside every diametral circle, and no apex encroaches a
+    segment."""
+    points = {"A": (0, 0), "B": (1, 0), "C": (1, 1), "D": (0, 1), "R": (1, 0.5),
+              "L": (0, 0.5), "t1": (0.206, 0.4305), "t2": (0.2, 0.5), "t3": (0.206, 0.5695),
+              "u": (0.4, 0.45), "v": (0.4, 0.55)}
+    tr = mesh.Triangulation()
+    ids = {name: tr.add_point(p) for name, p in points.items()}
+    for tri in ("t2 t1 t3", "A L t2", "L D t2", "A t2 t1", "D t3 t2", "A B t1", "B u t1",
+                "B R u", "R v u", "R C v", "C t3 v", "C D t3", "t1 u t3", "u v t3"):
+        tr._create(*(ids[name] for name in tri.split()))
+    key = mesh._edge_key(ids["u"], ids["v"])
+    tr.constrained[key] = 1
+    return tr, key
+
+
 def shoelace(poly):
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -215,7 +243,7 @@ class TestConstraints:
         assert tr.triangle_ids() == sorted(tr.tri_v)
         for p in rng.random((10, 2)) * 0.8 + 0.1:
             idx = tr.add_point(p)
-            tr.insert(idx, tr.locate(tr.points[idx]))
+            tr.insert(idx)
             ids = tr.triangle_ids()
             assert ids == sorted(tr.tri_v)
             assert len(set(ids)) == len(ids)
@@ -265,6 +293,28 @@ class TestRefine:
             hits = [k for k in sorted(tr.constrained)
                     if mesh._encroaches(p, tr.points[k[0]], tr.points[k[1]])]
             assert segments.encroached(p) == (hits[0] if hits else None)
+
+    def test_hidden_circumcenter_splits_the_segment_in_the_way(self, monkeypatch):
+        tr, key = sliver_behind_segment()
+        center = mesh._circumcenter(*(tr.points[w] for w in tr.tri_v[0]))
+        assert center[0] > 0.4 and 0 not in tr.cavity(center)
+        n_points = len(tr.points)
+
+        class Split(Exception):
+            pass
+
+        def stop(tr, key, *args):
+            raise Split(key)
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh, "_split_segment", stop)
+            with pytest.raises(Split) as first:
+                mesh.refine(tr, h=math.inf)
+        # the sliver is popped first: s is split, and nothing went in before
+        assert first.value.args == (key,) and len(tr.points) == n_points
+        mesh.refine(tr, h=math.inf, node_cap=2000)
+        assert (0.4, 0.5) in tr.points and center not in tr.points
+        assert all(triangle_min_angle(tr.point_array()[t]) >= mesh.THETA_MIN * (1.0 - 1e-12)
+                   for t in triangle_array(tr))
 
     def test_fine_mesh_is_fixpoint(self):
         angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
@@ -646,6 +696,24 @@ class TestMeshStress:
         # the side sensors 0 and 1 share belongs to sensor 0
         assert tags((np.abs(x - 0.3) < 1e-9) & (y < 0.2)) == {("sensor", 0)}
         assert tags((np.abs(y - 0.2) < 1e-9) & (x > 0.3) & (x < 0.6)) == {("sensor", 1)}
+
+    @pytest.mark.parametrize("layout", HIDDEN_CIRCUMCENTER_LAYOUTS,
+                             ids=["h0.1-sensor-near-left", "h0.3-sensor-near-left",
+                                  "h0.5-sensor-near-left"])
+    def test_bounds_where_circumcenters_hide(self, layout):
+        # refinement splits the segment that hides a circumcenter from its
+        # triangle instead of leaving the triangle bad or inserting the
+        # circumcenter on the far side
+        spec = mesh.GeometrySpec(**{"spline_control": mesh.DEFAULT_INCLUSION_CONTROL, **layout})
+        m = mesh.build_mesh(spec)
+        corners = m.nodes[m.triangles]
+        assert min(triangle_min_angle(p) for p in corners) >= mesh.THETA_MIN * (1.0 - 1e-12)
+        longest = np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2).max()
+        assert longest <= spec.h * (1.0 + 1e-12)
+        assert np.all(m.areas() > 0.0) and abs(m.areas().sum() - 1.0) <= 1e-12
+        edges = set(edge_use_counts(m.triangles))
+        assert all((min(u, v), max(u, v)) in edges for u, v in m.seg_nodes)
+        assert circumcircle_oracle(m.nodes, m.triangles)
 
     def test_node_cap_enforced(self):
         from diffdesign.errors import RefinementBudgetExceeded

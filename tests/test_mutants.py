@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from diffdesign import config, fem, mesh, oed, shape
-from diffdesign.errors import DegenerateInput
+from diffdesign.errors import DegenerateInput, RefinementBudgetExceeded
 
 import test_acceptance
 import test_cli
@@ -59,6 +59,11 @@ def records_unsplit(original):
     return enforce_segment
 
 
+def inserts_where_located(original):
+    # a hidden circumcenter goes in wherever `locate` puts it
+    return lambda tr, tid, p: tr.cavity(p) or None
+
+
 def code_blind(original):
     # the key of the config fields alone, as when a hand-kept version
     # constant is not raised
@@ -95,6 +100,12 @@ MUTANTS = [
     pytest.param(mesh, "_enforce_segment", records_unsplit,
                  test_mesh.TestConstraints().test_forced_diagonal, (), AssertionError,
                  id="missing-segment-recorded-unsplit"),
+    # the sliver's circumcenter goes in across the sensor box's side again
+    # and again, leaving the sliver, until the node cap
+    pytest.param(mesh, "_visible_cavity", inserts_where_located,
+                 lambda: test_mesh.TestMeshStress().test_bounds_where_circumcenters_hide(
+                     test_mesh.HIDDEN_CIRCUMCENTER_LAYOUTS[2]), (), RefinementBudgetExceeded,
+                 id="hidden-circumcenter-inserted"),
     # the insertion walk loses the point before the oracle's check is reached
     pytest.param(mesh, "_in_circumcircle", inverted,
                  test_mesh.TestDelaunay().test_random_cloud_empty_circumcircle, (),
