@@ -123,7 +123,7 @@ def _run(args):
         return 0
 
     if args.command == "sensitivities":
-        n_basis = len(pipe.sensitivities().values)
+        n_basis = len(pipe.sensitivities())
         grid = mesh_io.vtk_grid(pipe.mesh())
         pipe.write_basis_fields(".", grid)
         pipe.write_sensitivity_fields(".", grid)

@@ -29,9 +29,9 @@ from . import fem, fim, oed, shape
 from .errors import ConfigError
 from .mesh import DEFAULT_INCLUSION_CONTROL, SIDES, GeometrySpec, RobinSpan
 
-#: largest sensitivity block (8 bytes x n_basis x (n_steps + 1) x nodes) a
-#: config may ask for; see check_sensitivity_size
-MAX_SENSITIVITY_BYTES = 2 * 1024 ** 3
+#: most nodal values (n_basis x (n_steps + 1) x nodes) a config may ask the
+#: sensitivity march to compute; see check_sensitivity_size
+MAX_SENSITIVITY_VALUES = 2 ** 28
 #: every mesh measured had at least MIN_NODES_H2 / h^2 nodes (2.65-12.1 / h^2
 #: for h = 0.01-0.2, with and without sensors), so a config whose floor
 #: exceeds node_cap cannot finish
@@ -244,14 +244,14 @@ class Config:
 
 
 def check_sensitivity_size(cfg: Config, n_nodes):
-    """Raise ConfigError when the sensitivity block on `n_nodes` nodes, 8 bytes
-    x n_basis x (n_steps + 1) x n_nodes, exceeds MAX_SENSITIVITY_BYTES; the
-    forward trajectory is one field of it."""
-    block = 8 * cfg.basis.n_basis * (cfg.physics.n_steps + 1) * n_nodes
-    if block > MAX_SENSITIVITY_BYTES:
-        raise ConfigError(f"$.physics.n_steps: the sensitivity block on {n_nodes:.0f} "
-                          f"nodes would take {block / 1024 ** 3:.1f} GiB, above "
-                          f"{MAX_SENSITIVITY_BYTES / 1024 ** 3:.0f} GiB")
+    """Raise ConfigError when the sensitivity march on `n_nodes` nodes would
+    compute more than MAX_SENSITIVITY_VALUES nodal values, n_basis x
+    (n_steps + 1) x n_nodes; the forward solve is one field's worth."""
+    values = cfg.basis.n_basis * (cfg.physics.n_steps + 1) * n_nodes
+    if values > MAX_SENSITIVITY_VALUES:
+        raise ConfigError(f"$.physics.n_steps: the sensitivity march on {n_nodes:.0f} nodes "
+                          f"would compute {values:.3g} nodal values (n_basis x (n_steps + 1)"
+                          f" x nodes), above {MAX_SENSITIVITY_VALUES:.3g}")
 
 
 def _typed(value, schema):

@@ -9,13 +9,13 @@ discrete forward problem under node displacement. That exactness is what the
 test suite's finite-difference oracle checks. The sensitivities of the k
 basis fields are one block: their element data are formed once, the
 field-independent terms of each step's load once per step, and the block
-marches with one CG solve per time step into one `Trajectory` with
-(k, n_steps + 1, n_nodes) values. The fields are independent, so the block
-is split into one contiguous group of rows per usable CPU (the process's
-affinity mask): the calling process marches the first group and one worker
-of a fork-context `concurrent.futures` process pool per other group writes
-its rows into the same shared array. Each row is bitwise that of its field
-marched alone, so the split never changes a bit of the result.
+marches with one CG solve per time step, each (k, n_nodes) step handed to
+an observer, not stored. The fields are independent, so the block is split
+into one contiguous group of rows per usable CPU (the process's affinity
+mask): the calling process marches the first group and one worker of a
+fork-context `concurrent.futures` process pool per other group writes its
+rows into a shared ring of `RING_STEPS` step blocks. Each row is bitwise
+that of its field marched alone, so the split never changes a bit of it.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ class HeatOperators:
 @dataclass
 class Trajectory:
     """Nodal coefficients on a uniform time grid; values[..., m, :] is
-    t = times[m], (n_steps + 1, n) for one state and (k, n_steps + 1, n) for
-    a block."""
+    t = times[m], (n_steps + 1, n) for the forward state."""
 
     times: np.ndarray
     values: np.ndarray
@@ -114,22 +113,24 @@ def assemble_heat(mesh: Mesh, kappa_bulk=KAPPA_BULK_DEFAULT,
                          dirichlet_value=float(u_d), source=source)
 
 
-def _march(ops: HeatOperators, tau, load, dirichlet_value, tol, out):
-    """Backward-Euler march of k independent states from zero into `out`,
-    their (k, n_steps + 1, n) nodal values; out[:, 0] must hold zeros.
-
-    Step m solves A_ff X = (M U_{m-1}^T)^T[:, free] + load(m) for all k rows
-    in one `cg_solve` call, warm-started from the previous step, and writes
-    X and the Dirichlet value `dirichlet_value` into out[:, m].
+def _march(ops: HeatOperators, tau, load, dirichlet_value, tol, n_steps, slot,
+           done=lambda m: None):
+    """Backward-Euler march of k independent states from zero: step m = 1,
+    ..., n_steps solves A_ff X = (M U_{m-1}^T)^T[:, free] + load(m) for all k
+    rows in one `cg_solve` call, warm-started from the previous step, with
+    U_{m-1} read from slot(m - 1), the (k, n) array of step m - 1 (slot(0)
+    holds zeros), writes X and the Dirichlet value `dirichlet_value` into
+    slot(m) and calls done(m).
     """
     free, a_ff, _ = ops.reduced_system(tau)
     guess = None
-    for m in range(1, out.shape[1]):
-        rhs = (ops.mass @ out[:, m - 1].T).T[:, free] + load(m)
+    for m in range(1, n_steps + 1):
+        rhs = (ops.mass @ slot(m - 1).T).T[:, free] + load(m)
         guess = cg_solve(a_ff, rhs, tol=tol, x0=guess)
-        step = out[:, m]
+        step = slot(m)
         step[:, free] = guess
         step[:, ops.dirichlet_nodes] = dirichlet_value
+        done(m)
 
 
 def solve_forward(ops: HeatOperators, horizon=T_DEFAULT,
@@ -149,9 +150,9 @@ def solve_forward(ops: HeatOperators, horizon=T_DEFAULT,
             return neg_lift
         return neg_lift + tau * (ops.mass @ np.asarray(ops.source(times[m])))[free]
 
-    values = np.zeros((1, n_steps + 1, len(ops.mesh.nodes)))
-    _march(ops, tau, load, ops.dirichlet_value, tol, values)
-    return Trajectory(times=times, values=values[0])
+    values = np.zeros((n_steps + 1, len(ops.mesh.nodes)))
+    _march(ops, tau, load, ops.dirichlet_value, tol, n_steps, lambda m: values[None, m])
+    return Trajectory(times=times, values=values)
 
 
 def _sensitivity_element_data(ops, vfields):
@@ -200,14 +201,19 @@ def _shared_zeros(shape):
                          count=count).reshape(shape)
 
 
-_worker = None                  # (march, alive), set in each pool worker only
+#: step blocks in the shared ring of a sensitivity march
+RING_STEPS = 4
+#: seconds between the checks a waiting process makes on the other groups
+_POLL_S = 0.1
+
+_worker = None                  # (run, alive), set in each pool worker only
 
 
-def _start_worker(march, stop, parent):
-    """Pool initializer: the worker marches with an `alive` check, called
-    once per time step, that ends it when its parent is gone and raises once
-    the parent has set the shared `stop` flag. On Linux the kernel also kills
-    an idle worker with its parent, so a killed parent leaves no orphan."""
+def _start_worker(run, stop, parent):
+    """Pool initializer: the worker runs its group with an `alive` check, at
+    each time step and wait, that ends it when its parent is gone and raises
+    once the parent has set the shared `stop` flag. On Linux the kernel also
+    kills an idle worker with its parent, so a killed parent leaves no orphan."""
     global _worker
 
     def alive():
@@ -220,38 +226,77 @@ def _start_worker(march, stop, parent):
     if prctl:
         prctl(1, signal.SIGKILL)    # PR_SET_PDEATHSIG
     alive()                         # the parent may have died before prctl
-    _worker = (march, alive)
+    _worker = (run, alive)
 
 
-def _run_group(rows):
-    """Pool task: march `rows` in this worker."""
-    march, alive = _worker
-    march(rows, alive)
+def _run_group(w):
+    """Pool task: march the group of worker w in this worker."""
+    run, alive = _worker
+    run(w, alive)
 
 
-def _march_groups(k, march):
-    """Run march(rows, alive) over min(k, usable CPUs) contiguous row groups
-    of range(k): this process marches the first group and a fork-context
-    process pool the others, one worker each; one group makes no pool, so a
-    serial march needs neither fork nor semaphores. Raises the first group's
-    error with its type and message (a dead worker's as `BrokenProcessPool`,
-    a `RuntimeError`); on any error the workers stop within one time step,
-    and all are reaped before this returns or raises. The pool flushes stdio
-    before it forks and its workers leave through os._exit, so no buffered
-    output is written twice."""
+def _march_groups(k, n_steps, march, observe):
+    """Run march(rows, wait, done) over min(k, usable CPUs) contiguous row
+    groups of range(k) and call observe(m), m = 0, ..., n_steps in order,
+    once every group has written step m (step 0 is the ring's zeros). This
+    process marches the first group; its done(m) observes what all groups
+    have written, waiting for step m - RING_STEPS + 1, whose slot it writes
+    next. A fork-context pool runs each other group in one worker, which
+    posts "written" after each step and takes a "free" post, made per
+    observed step, before each. Waits are timed: a worker runs its `alive`
+    check, this process checks the futures. One group makes no pool and no
+    semaphore. Raises the first error of a group or of `observe` with its
+    type and message (a dead worker's as `BrokenProcessPool`); on any error
+    the workers stop within one time step and all are reaped before this
+    returns. The pool flushes stdio before it forks and its workers leave
+    through os._exit, so no buffered output is written twice."""
     groups = [slice(g[0], g[-1] + 1)
               for g in np.array_split(np.arange(k), min(k, _usable_cpus()))]
+    workers = range(len(groups) - 1)
+    written = [get_context("fork").Semaphore(1) for _ in workers]     # step 0 is written
+    free = [get_context("fork").Semaphore(RING_STEPS - 1) for _ in workers]
+    got = [0 for _ in workers]          # "written" posts taken per worker
+    seen = [0]                          # steps observed
     stop = _shared_zeros(1)
-    with ExitStack() as workers:
-        futures = []
-        if groups[1:]:
-            # fork passes initargs unpickled: no operator, trajectory or closure is pickled
-            pool = workers.enter_context(ProcessPoolExecutor(
-                max_workers=len(groups) - 1, mp_context=get_context("fork"),
-                initializer=_start_worker, initargs=(march, stop, os.getpid())))
-            futures = [pool.submit(_run_group, rows) for rows in groups[1:]]
+    futures = []
+
+    def run(w, alive):
+        def wait(m):
+            while not free[w].acquire(timeout=_POLL_S):
+                alive()
+            alive()
+
+        march(groups[w + 1], wait, lambda m: written[w].release())
+
+    def observe_through(last, wait_through):
+        while seen[0] <= last:
+            block = seen[0] <= wait_through
+            for w in workers:
+                while got[w] <= seen[0]:
+                    if written[w].acquire(block, _POLL_S):
+                        got[w] += 1
+                    elif not block:
+                        return
+                    elif futures[w].done():
+                        futures[w].result()
+            observe(seen[0])
+            seen[0] += 1
+            for sem in free:
+                sem.release()
+
+    with ExitStack() as stack:
+        if workers:
+            # fork passes initargs unpickled: no operator, trajectory, closure
+            # or semaphore is pickled
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=len(workers), mp_context=get_context("fork"),
+                initializer=_start_worker, initargs=(run, stop, os.getpid())))
+            futures += [pool.submit(_run_group, w) for w in workers]
         try:
-            march(groups[0], lambda: None)
+            observe_through(0, 0)
+            march(groups[0], lambda m: None,
+                  lambda m: observe_through(m, m - RING_STEPS + 1))
+            observe_through(n_steps, n_steps)
             for future in futures:
                 future.result()
         except BaseException:
@@ -260,9 +305,11 @@ def _march_groups(k, march):
 
 
 def solve_sensitivity(ops: HeatOperators, forward: Trajectory,
-                      vfields: VelocityField, tol=1e-10) -> Trajectory:
-    """Material derivatives of the forward trajectory along each of the k
-    velocity fields: one Trajectory with (k, n_steps + 1, n) values.
+                      vfields: VelocityField, observe, tol=1e-10):
+    """March the material derivatives of the forward trajectory along each
+    of the k velocity fields and call observe(m, block) for m = 0, ...,
+    n_steps in order, `block` the (k, n) sensitivities at forward.times[m]:
+    a read-only view of a ring slot that later steps overwrite.
 
     Same left-hand operator as the forward solve with homogeneous Dirichlet
     data; starts from zero. The fields march in contiguous groups, one per
@@ -275,16 +322,17 @@ def solve_sensitivity(ops: HeatOperators, forward: Trajectory,
     n = len(ops.mesh.nodes)
     free, _, _ = ops.reduced_system(tau)
     tris, g, area, a_v, div, kappa = _sensitivity_element_data(ops, vfields)
-    values = _shared_zeros((len(a_v), len(forward.times), n))
+    n_steps = len(forward.times) - 1
+    ring = _shared_zeros((RING_STEPS, len(a_v), n))
+    view = np.lib.stride_tricks.as_strided(ring, writeable=False)
 
-    def march(rows, alive):
+    def march(rows, wait, done):
         def load(m):
-            alive()
+            wait(m)
             return tau * _sensitivity_rhs(
                 forward.values[m], forward.values[m - 1], tau, tris, g, area,
                 a_v[rows], div[rows], kappa, n)[:, free]
 
-        _march(ops, tau, load, 0.0, tol, values[rows])
+        _march(ops, tau, load, 0.0, tol, n_steps, lambda m: ring[m % RING_STEPS, rows], done)
 
-    _march_groups(len(a_v), march)
-    return Trajectory(times=forward.times, values=values)
+    _march_groups(len(a_v), n_steps, march, lambda m: observe(m, view[m % RING_STEPS]))

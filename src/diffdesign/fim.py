@@ -5,9 +5,10 @@ Each sensor patch carries the discrete second-order operator
 ``a0 * K + a1 * M`` (natural boundary conditions, lumped patch mass) whose
 square is the inverse covariance of the distributed measurement. The
 elementary information matrix of sensor k at instant l is the Gram matrix of
-the whitened sensitivity restrictions: the sensitivity block is restricted to
-the patch and whitened for all basis fields at once, with one sparse product
-per (sensor, instant) pair. The combined matrix is the weighted sum of the
+the whitened sensitivity restrictions: as the sensitivity march hands over
+the step of a design instant, it is restricted to each patch and whitened
+for all basis fields at once, with one sparse product per (sensor, instant)
+pair; no step is kept. The combined matrix is the weighted sum of the
 elementary matrices in a fixed (sensor, instant) row-major enumeration.
 
 The tensor cache is a numpy ``.npz`` archive keyed by `config.tensor_hash`; a
@@ -104,29 +105,34 @@ class FimTensor:
         return self.matrices.reshape(self.n_weights, self.n_basis, self.n_basis)
 
 
-def elementary_fims(sensitivities, sensors, instants, gramian) -> FimTensor:
-    """Assemble the elementary FIM of every sensor/instant pair.
+def elementary_fims(march, sensors, instants, gramian) -> FimTensor:
+    """Assemble the elementary FIM of every sensor/instant pair while the
+    sensitivities of the basis block are marched.
 
-    `sensitivities` is the Trajectory of the basis block, values
-    (n_basis, n_steps + 1, n_nodes); `instants` are indices into its time
-    grid.
+    march(observe) calls observe(m, block) for each time step m = 0, ...,
+    n_steps in order, `block` the (n_basis, n_nodes) sensitivities at step
+    m; `instants` are step indices.
     """
-    n_basis, n_times = sensitivities.values.shape[:2]
-    n_steps = n_times - 1
+    gramian = np.asarray(gramian, dtype=float)
     instants = np.asarray(instants, dtype=int)
+    mats = np.zeros((len(sensors), len(instants)) + gramian.shape)
+    steps = []
+
+    def observe(step, block):
+        steps.append(step)
+        for li in np.flatnonzero(instants == step):
+            for k, sensor in enumerate(sensors):
+                local = block[:, sensor.nodes].T
+                whitened = apply_precision_root(sensor, local) * np.sqrt(sensor.lumped_mass)[:, None]
+                upper = np.triu(whitened.T @ whitened)
+                mats[k, li] = upper + np.triu(upper, 1).T
+
+    march(observe)
+    n_steps = len(steps) - 1
     if len(instants) and (instants.min() < 0 or instants.max() > n_steps):
         raise InstantOutOfRange(
             f"instants must lie in [0, {n_steps}], got {instants.min()}..{instants.max()}")
-
-    mats = np.zeros((len(sensors), len(instants), n_basis, n_basis))
-    for k, sensor in enumerate(sensors):
-        sqrt_mass = np.sqrt(sensor.lumped_mass)[:, None]
-        for li, step in enumerate(instants):
-            local = sensitivities.values[:, step, sensor.nodes].T
-            whitened = apply_precision_root(sensor, local) * sqrt_mass
-            upper = np.triu(whitened.T @ whitened)
-            mats[k, li] = upper + np.triu(upper, 1).T
-    return FimTensor(matrices=mats, gramian=np.asarray(gramian, dtype=float))
+    return FimTensor(matrices=mats, gramian=gramian)
 
 
 def weighted_sum(weights, mats):

@@ -1,6 +1,6 @@
-"""Pipeline orchestration: mesh -> forward -> sensitivities -> FIM ->
-optimize -> eigen-analysis, with a content-addressed tensor cache and
-deterministic CSV/JSON outputs.
+"""Pipeline orchestration: mesh -> forward -> sensitivities, each step
+observed into the FIM as it is marched -> optimize -> eigen-analysis, with a
+content-addressed tensor cache and deterministic CSV/JSON outputs.
 
 Stage timings (self and inclusive) are printed to stderr and kept on the
 in-memory report only; serialized outputs carry no volatile data, so two runs
@@ -119,8 +119,12 @@ class Pipeline:
         return self._stage("gramian", lambda: shape.gramian(self.basis_fields()))
 
     def sensitivities(self):
-        return self._stage("sensitivities", lambda: fem.solve_sensitivity(
-            self.heat_operators(), self.forward(), self.basis_fields()))
+        def build():   # the final-time step only, (n_basis, n_nodes)
+            final = np.zeros((self.config.basis.n_basis, len(self.mesh().nodes)))
+            fem.solve_sensitivity(self.heat_operators(), self.forward(), self.basis_fields(),
+                                  lambda m, block: np.copyto(final, block))
+            return final
+        return self._stage("sensitivities", build)
 
     def tensor(self):
         def build():
@@ -140,8 +144,10 @@ class Pipeline:
             sensors = fim.build_sensor_models(self.mesh(),
                                               alpha0=self.config.noise.alpha0,
                                               alpha1=self.config.noise.alpha1)
-            tensor = fim.elementary_fims(self.sensitivities(), sensors,
-                                         self.config.instants(), self.gramian())
+            ops, forward, fields = self.heat_operators(), self.forward(), self.basis_fields()
+            tensor = fim.elementary_fims(
+                lambda observe: fem.solve_sensitivity(ops, forward, fields, observe),
+                sensors, self.config.instants(), self.gramian())
             if cache_path is not None:
                 fim.save_tensor(tensor, cache_path, config_hash=key)
             return tensor
@@ -189,7 +195,7 @@ class Pipeline:
 
     def write_sensitivity_fields(self, directory, grid):
         """Write the final-time sensitivity of each basis field under `directory`."""
-        for i, du in enumerate(self.sensitivities().values[:, -1]):
+        for i, du in enumerate(self.sensitivities()):
             self._write(Path(directory) / f"sensitivity_{i:02d}_final.vtk",
                         lambda p: mesh_io.write_vtk(grid, {"du": du}, p))
 

@@ -12,7 +12,7 @@ import pytest
 
 from diffdesign import config, fem, fim, mesh, numerics, oed, pipeline, shape
 
-from test_fem import crossed_mesh, fd_material_derivative_oracle
+from test_fem import crossed_mesh, fd_material_derivative_oracle, record
 from test_mesh import circumcircle_oracle
 from test_oed import a_criterion, synthetic_tensor
 from test_shape import dijkstra_oracle
@@ -90,7 +90,7 @@ def test_criterion_2_material_derivative_oracle():
     vfields = shape.extend_velocity(m, curve, shape.gaussian_bump_basis(curve, 3)[:1],
                                     tol=1e-12)
     [vfield] = vfields.values
-    [delta] = fem.solve_sensitivity(ops, forward, vfields, tol=1e-12).values
+    [delta] = record(ops, forward, vfields, tol=1e-12).values
     sensor_nodes = np.unique(np.concatenate(
         [m.triangles[m.sensor_elements[0]].ravel(),
          m.triangles[m.sensor_elements[1]].ravel()]))

@@ -596,7 +596,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         stages = [line.split(":")[0] for line in proc.stderr.splitlines()
                   if line.startswith("[fast] ")]
-        assert "[fast] sensitivities" in stages
+        assert "[fast] fim" in stages
         assert len(stages) == len(set(stages))
         assert proc.stdout.count("started") == 1
         assert proc.stdout.count("phi = ") == 1

@@ -61,6 +61,27 @@ def fd_material_derivative_oracle(m, velocity, tau_fd,
     return fem.Trajectory(times=plus.times, values=diff)
 
 
+def record(ops, forward, fields, tol=1e-10):
+    """March the sensitivities of `fields` with an observer that stacks
+    every step: a Trajectory with (k, n_steps + 1, n_nodes) values."""
+    values = np.zeros((len(fields.values), len(forward.times), len(ops.mesh.nodes)))
+
+    def observe(m, block):
+        values[:, m] = block
+
+    fem.solve_sensitivity(ops, forward, fields, observe, tol=tol)
+    return fem.Trajectory(times=forward.times, values=values)
+
+
+def replay(traj):
+    """A `march` callable that hands the recorded steps of `traj` to its
+    observer in order, as `fem.solve_sensitivity` does while marching."""
+    def march(observe):
+        for m in range(len(traj.times)):
+            observe(m, traj.values[:, m])
+    return march
+
+
 def crossed_mesh(n, dirichlet="all"):
     """Structured union-jack mesh of the unit square, built directly."""
     xs = np.linspace(0.0, 1.0, n + 1)
@@ -229,7 +250,7 @@ class TestSensitivity:
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=5)
         zero = shape.VelocityField(m, np.zeros_like(fields.values[:1]),
                                    fields.support)
-        traj = fem.solve_sensitivity(ops, forward, zero)
+        traj = record(ops, forward, zero)
         assert np.all(traj.values == 0.0)
 
     def test_linearity(self, fixture_problem):
@@ -237,7 +258,7 @@ class TestSensitivity:
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=5, tol=1e-12)
         v1, v2 = fields.values[:2]
         block = shape.VelocityField(m, np.stack([v1, v2, v1 + v2]), fields.support)
-        d1, d2, d12 = fem.solve_sensitivity(ops, forward, block, tol=1e-12).values
+        d1, d2, d12 = record(ops, forward, block, tol=1e-12).values
         scale = np.abs(d12).max()
         assert np.abs(d12 - d1 - d2).max() <= 1e-9 * max(scale, 1.0)
 
@@ -259,7 +280,7 @@ class TestSensitivity:
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=21, tol=1e-13)
         first = rows(fields, slice(0, 1))
-        [traj] = fem.solve_sensitivity(ops, forward, first, tol=1e-13).values
+        [traj] = record(ops, forward, first, tol=1e-13).values
         tau = forward.tau
         free, a_ff, _ = ops.reduced_system(tau)
         [load] = _sensitivity_rhs(forward.values[4], forward.values[3], tau,
@@ -283,7 +304,7 @@ class TestSensitivity:
         vals[interior, 0] = (np.sin(2.0 * np.pi * x) * bump)[interior]
         vals[interior, 1] = (np.sin(np.pi * x) * (y - 0.5) * bump)[interior]
         vfield = shape.VelocityField(m, vals[None], np.arange(len(m.triangles)))
-        [traj] = fem.solve_sensitivity(ops, forward, vfield, tol=1e-13).values
+        [traj] = record(ops, forward, vfield, tol=1e-13).values
 
         # node map x -> 1-x
         mirrored = m.nodes.copy()
@@ -300,19 +321,18 @@ class TestMetamorphic:
     def test_block_march_matches_fields_marched_alone(self, fixture_problem):
         _, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
-        together = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        together = record(ops, forward, fields, tol=1e-12)
         for i, values in enumerate(together.values):
-            alone = fem.solve_sensitivity(ops, forward, rows(fields, slice(i, i + 1)),
-                                          tol=1e-12)
+            alone = record(ops, forward, rows(fields, slice(i, i + 1)), tol=1e-12)
             assert np.array_equal(values, alone.values[0])
             assert np.array_equal(together.times, alone.times)
 
     def test_permuted_fields_permute_sensitivities(self, fixture_problem):
         _, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
-        ref = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        ref = record(ops, forward, fields, tol=1e-12)
         perm = [2, 0, 1]
-        got = fem.solve_sensitivity(ops, forward, rows(fields, perm), tol=1e-12)
+        got = record(ops, forward, rows(fields, perm), tol=1e-12)
         for values, i in zip(got.values, perm):
             assert np.array_equal(values, ref.values[i])
 
@@ -336,17 +356,24 @@ def fail_cg_in(monkeypatch, side):
     monkeypatch.setattr(fem, "cg_solve", cg_solve)
 
 
+def ignore(m, block):
+    """An observer that keeps nothing."""
+
+
 class TestGroupedMarch:
     """The fields march in one contiguous group per usable CPU: this process
-    the first, a worker of a fork-context process pool each other."""
+    the first, a worker of a fork-context process pool each other, every
+    group writing into a shared ring of `fem.RING_STEPS` step blocks."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_any_group_count_gives_the_same_bits(self, fixture_problem, monkeypatch,
                                                  cpus):
+        # 10 steps: the ring of 4 wraps twice. The observer is slow, so the
+        # workers run ahead and must wait for ring slots it has not freed
         _, ops, fields = fixture_problem
-        forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=10, tol=1e-12)
         monkeypatch.setattr(fem, "_usable_cpus", lambda: 1)
-        serial = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        serial = record(ops, forward, fields, tol=1e-12)
         forks, real_fork = [], os.fork
 
         def fork():
@@ -357,10 +384,17 @@ class TestGroupedMarch:
 
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(fem, "_usable_cpus", lambda: cpus)
-        grouped = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        observed = []
+
+        def observe(m, block):
+            time.sleep(0.02)
+            observed.append((m, block.copy()))
+
+        fem.solve_sensitivity(ops, forward, fields, observe, tol=1e-12)
         assert len(forks) == min(cpus, len(fields.values)) - 1
-        for row, expected in zip(grouped.values, serial.values):
-            assert np.array_equal(row, expected)
+        assert [m for m, _ in observed] == list(range(11))
+        for m, block in observed:
+            assert np.array_equal(block, serial.values[:, m])
         assert_no_child_left()
 
     def test_serial_march_makes_no_pool(self, fixture_problem, monkeypatch):
@@ -369,7 +403,8 @@ class TestGroupedMarch:
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
         monkeypatch.setattr(fem, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(fem, "ProcessPoolExecutor", None)
-        fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        monkeypatch.setattr(fem, "get_context", lambda method: None)
+        fem.solve_sensitivity(ops, forward, fields, ignore, tol=1e-12)
 
     @pytest.mark.parametrize("side", ["child", "parent"])
     def test_error_raised_and_children_reaped(self, fixture_problem, monkeypatch, side):
@@ -378,7 +413,27 @@ class TestGroupedMarch:
         monkeypatch.setattr(fem, "_usable_cpus", lambda: 3)
         fail_cg_in(monkeypatch, side)
         with pytest.raises(NoConvergence, match=f"CG stalled in the {side}"):
-            fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+            fem.solve_sensitivity(ops, forward, fields, ignore, tol=1e-12)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_observer_error_raised_and_children_reaped(self, fixture_problem,
+                                                       monkeypatch, cpus):
+        # the observer is slow, so the workers run three steps ahead and
+        # then wait for ring slots that the failed observer never frees
+        _, ops, fields = fixture_problem
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=10, tol=1e-12)
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: cpus)
+
+        def observe(m, block):
+            time.sleep(0.1)
+            if m == 3:
+                raise KeyError("observer failed at step 3")
+
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="observer failed at step 3"):
+            fem.solve_sensitivity(ops, forward, fields, observe, tol=1e-12)
+        assert time.monotonic() - start < 10.0
         assert_no_child_left()
 
     def test_child_stops_when_its_parent_is_gone(self, fixture_problem, monkeypatch):
@@ -398,7 +453,7 @@ class TestGroupedMarch:
 
         monkeypatch.setattr(os, "getppid", getppid)
         with pytest.raises(RuntimeError, match="terminated abruptly"):
-            fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+            fem.solve_sensitivity(ops, forward, fields, ignore, tol=1e-12)
         assert_no_child_left()
 
     def test_killed_worker_raises(self, fixture_problem, monkeypatch):
@@ -416,7 +471,7 @@ class TestGroupedMarch:
 
         monkeypatch.setattr(fem, "cg_solve", cg_solve)
         with pytest.raises(RuntimeError, match="terminated abruptly"):
-            fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+            fem.solve_sensitivity(ops, forward, fields, ignore, tol=1e-12)
         assert_no_child_left()
 
     def test_parent_error_stops_workers(self, fixture_problem, monkeypatch):
@@ -436,7 +491,7 @@ class TestGroupedMarch:
 
         monkeypatch.setattr(fem, "cg_solve", cg_solve)
         with pytest.raises(NoConvergence, match="CG stalled in the parent"):
-            fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+            fem.solve_sensitivity(ops, forward, fields, ignore, tol=1e-12)
         assert_no_child_left()
         assert reached[0] <= 2
 
@@ -444,59 +499,75 @@ class TestGroupedMarch:
                         reason="the parent-death signal is Linux's prctl")
     def test_idle_worker_exits_with_its_killed_parent(self, tmp_path):
         # the worker finishes its group and idles on the pool's call queue
-        # while its parent is still in the first of its steps; the parent
-        # is then killed. The worker shares the parent's stdout, so the
-        # pipe ends only once the worker is gone too
-        with (tmp_path / "stderr").open("wb") as err:
-            proc = subprocess.Popen(
-                [sys.executable, "-c", IDLE_WORKER_SCRIPT], stdout=subprocess.PIPE,
-                stderr=err, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-        worker = None
-        try:
-            line = proc.stdout.readline()
-            assert line, (tmp_path / "stderr").read_text()
-            worker = int(line)
-            proc.kill()
-            proc.wait()
-            assert select.select([proc.stdout], [], [], 30.0)[0], "stdout stays open"
-            assert proc.stdout.read() == b""
-            deadline = time.monotonic() + 30.0
-            while running(worker) and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not running(worker)
-        finally:
-            if worker is not None and running(worker):
-                os.kill(worker, signal.SIGKILL)
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
+        # while its parent is still in the first of its steps
+        assert_worker_dies_with_its_parent(tmp_path, "idle")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's prctl")
+    def test_waiting_worker_exits_with_its_killed_parent(self, tmp_path):
+        # the worker solves four steps and then waits for a ring slot that
+        # its parent, still in the first of its steps, never frees
+        assert_worker_dies_with_its_parent(tmp_path, "waiting")
 
 
-IDLE_WORKER_SCRIPT = """
-import os, time
+def assert_worker_dies_with_its_parent(tmp_path, mode):
+    """Kill the parent of a sensitivity worker in state `mode` ("idle" or
+    "waiting"); the worker must be gone within 30 s. The worker shares the
+    parent's stdout, so the pipe ends only once the worker is gone too."""
+    with (tmp_path / "stderr").open("wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", WORKER_SCRIPT, mode], stdout=subprocess.PIPE,
+            stderr=err, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    worker = None
+    try:
+        line = proc.stdout.readline()
+        assert line, (tmp_path / "stderr").read_text()
+        worker = int(line)
+        proc.kill()
+        proc.wait()
+        assert select.select([proc.stdout], [], [], 30.0)[0], "stdout stays open"
+        assert proc.stdout.read() == b""
+        deadline = time.monotonic() + 30.0
+        while running(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not running(worker)
+    finally:
+        if worker is not None and running(worker):
+            os.kill(worker, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+WORKER_SCRIPT = """
+import os, sys, time
 import numpy as np
 from diffdesign import fem, mesh, shape
 
+mode = sys.argv[1]
 angles = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
 poly = 0.5 + 0.1 * np.column_stack([np.cos(angles), np.sin(angles)])
 m = mesh.build_mesh(mesh.GeometrySpec(inclusion_polygon=poly, sensors=[], h=0.09))
 ops = fem.assemble_heat(m)
 curve = shape.interface_from_mesh(m)
 fields = shape.extend_velocity(m, curve, shape.gaussian_bump_basis(curve, 3))
-forward = fem.solve_forward(ops, horizon=10.0, n_steps=4)
-here, real_run, real_cg = os.getpid(), fem._run_group, fem.cg_solve
+forward = fem.solve_forward(ops, horizon=10.0, n_steps=4 if mode == "idle" else 12)
+here, real_run, real_cg, solved = os.getpid(), fem._run_group, fem.cg_solve, []
 
-def run_group(rows):
-    real_run(rows)
+def run_group(w):
+    real_run(w)
     print(os.getpid(), flush=True)
 
 def cg_solve(*args, **kwargs):
     if os.getpid() == here:
         time.sleep(600)
+    solved.append(1)
+    if mode == "waiting" and len(solved) == fem.RING_STEPS:
+        print(os.getpid(), flush=True)
     return real_cg(*args, **kwargs)
 
 fem._usable_cpus, fem._run_group, fem.cg_solve = (lambda: 2), run_group, cg_solve
-fem.solve_sensitivity(ops, forward, fields)
+fem.solve_sensitivity(ops, forward, fields, lambda m, block: None)
 """
 
 
@@ -524,8 +595,7 @@ class TestFdOracle:
     def test_oracle_linear_convergence(self, fixture_problem):
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
-        [delta] = fem.solve_sensitivity(ops, forward, rows(fields, slice(0, 1)),
-                                        tol=1e-12).values
+        [delta] = record(ops, forward, rows(fields, slice(0, 1)), tol=1e-12).values
         sensor_nodes = np.unique(np.concatenate([
             m.triangles[m.sensor_elements[0]].ravel(),
             m.triangles[m.sensor_elements[1]].ravel(),
@@ -544,8 +614,7 @@ class TestFdOracle:
     def test_central_difference_tight(self, fixture_problem):
         m, ops, fields = fixture_problem
         forward = fem.solve_forward(ops, horizon=10.0, n_steps=8, tol=1e-12)
-        [delta] = fem.solve_sensitivity(ops, forward, rows(fields, slice(1, 2)),
-                                        tol=1e-12).values
+        [delta] = record(ops, forward, rows(fields, slice(1, 2)), tol=1e-12).values
         oracle = fd_material_derivative_oracle(
             m, fields.values[1], 1e-4, n_steps=8, central=True, tol=1e-13)
         sensor_nodes = np.unique(m.triangles[m.sensor_elements[0]])
@@ -567,7 +636,7 @@ class TestFdOracle:
             curve = shape.interface_from_mesh(m)
             vfield = shape.extend_velocity(
                 m, curve, shape.gaussian_bump_basis(curve, 3)[:1], tol=1e-12)
-            [delta] = fem.solve_sensitivity(ops, forward, vfield, tol=1e-12).values
+            [delta] = record(ops, forward, vfield, tol=1e-12).values
 
             tris, g, area, _, _, _ = fem._sensitivity_element_data(ops, vfield)
             grad_u = np.einsum("ei,eia->ea", forward.values[-1][tris], g)

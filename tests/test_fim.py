@@ -1,12 +1,20 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diffdesign import config, fem, fim, mesh, numerics, pipeline, shape
 from diffdesign.errors import CacheMismatch, DimensionMismatch, InstantOutOfRange, MissingTag
+
+from test_fem import record, replay
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +34,9 @@ def problem():
     bumps = shape.gaussian_bump_basis(curve, 3)
     fields = shape.extend_velocity(m, curve, bumps, tol=1e-12)
     gram = shape.gramian(fields)
-    sens = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+    sens = record(ops, forward, fields, tol=1e-12)
     sensors = fim.build_sensor_models(m)
-    tensor = fim.elementary_fims(sens, sensors, range(7), gram)
+    tensor = fim.elementary_fims(replay(sens), sensors, range(7), gram)
     return m, sensors, sens, gram, tensor
 
 
@@ -99,7 +107,7 @@ class TestElementaryFims:
     def test_zero_sensitivities_zero_tensor(self, problem):
         m, sensors, sens, gram, _ = problem
         zero = fem.Trajectory(times=sens.times, values=np.zeros_like(sens.values[:2]))
-        tensor = fim.elementary_fims(zero, sensors, range(7), gram[:2, :2])
+        tensor = fim.elementary_fims(replay(zero), sensors, range(7), gram[:2, :2])
         assert np.all(tensor.matrices == 0.0)
 
     def test_constant_restriction_analytic(self, problem):
@@ -107,7 +115,7 @@ class TestElementaryFims:
         s = fim.build_sensor_model(m, 0, alpha0=1e-300, alpha1=1.5)
         c = 2.0
         traj = fem.Trajectory(times=sens.times, values=np.full_like(sens.values[:1], c))
-        tensor = fim.elementary_fims(traj, [s], [3], np.eye(1))
+        tensor = fim.elementary_fims(replay(traj), [s], [3], np.eye(1))
         area = m.areas()[s.elements].sum()
         expected = 1.5 ** 2 * c ** 2 * area
         assert abs(tensor.matrices[0, 0, 0, 0] - expected) <= 1e-10 * expected
@@ -126,7 +134,7 @@ class TestElementaryFims:
         vals = np.zeros((3, 2, len(m.nodes)))
         vals[:, 1, s.nodes] = d.T
         traj = fem.Trajectory(times=np.array([0.0, 1.0]), values=vals)
-        tensor = fim.elementary_fims(traj, [s], [1], np.eye(3))
+        tensor = fim.elementary_fims(replay(traj), [s], [1], np.eye(3))
         got = tensor.matrices[0, 0]
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -148,10 +156,26 @@ class TestElementaryFims:
             for li in range(tensor.n_time):
                 assert np.linalg.matrix_rank(tensor.matrices[k, li]) <= bound
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_streamed_march_matches_replay(self, problem, monkeypatch, cpus):
+        # the FIM formed while marching equals the one formed from a
+        # recorded trajectory, bit for bit, whatever the number of groups
+        m, sensors, _, gram, tensor = problem
+        ops = fem.assemble_heat(m)
+        forward = fem.solve_forward(ops, horizon=10.0, n_steps=6, tol=1e-12)
+        curve = shape.interface_from_mesh(m)
+        fields = shape.extend_velocity(m, curve, shape.gaussian_bump_basis(curve, 3),
+                                       tol=1e-12)
+        monkeypatch.setattr(fem, "_usable_cpus", lambda: cpus)
+        streamed = fim.elementary_fims(
+            lambda observe: fem.solve_sensitivity(ops, forward, fields, observe, tol=1e-12),
+            sensors, range(7), gram)
+        assert np.array_equal(streamed.matrices, tensor.matrices)
+
     def test_instant_out_of_range(self, problem):
         _, sensors, sens, gram, _ = problem
         with pytest.raises(InstantOutOfRange):
-            fim.elementary_fims(sens, sensors, [99], gram)
+            fim.elementary_fims(replay(sens), sensors, [99], gram)
 
 
 class TestMetamorphic:
@@ -161,7 +185,7 @@ class TestMetamorphic:
         m, _, sens, gram, tensor = problem
         sensors = fim.build_sensor_models(m, alpha0=2.0 * fim.ALPHA0_DEFAULT,
                                           alpha1=2.0 * fim.ALPHA1_DEFAULT)
-        doubled = fim.elementary_fims(sens, sensors, range(7), gram)
+        doubled = fim.elementary_fims(replay(sens), sensors, range(7), gram)
         assert np.array_equal(doubled.matrices, 4.0 * tensor.matrices)
 
     def test_permuted_basis_keeps_generalized_eigenvalues(self, problem):
@@ -174,9 +198,9 @@ class TestMetamorphic:
         bumps = shape.gaussian_bump_basis(curve, 3)
         perm = [2, 0, 1]
         fields = shape.extend_velocity(m, curve, bumps[perm], tol=1e-12)
-        sens = fem.solve_sensitivity(ops, forward, fields, tol=1e-12)
+        sens = record(ops, forward, fields, tol=1e-12)
         gram_p = shape.gramian(fields)
-        tensor_p = fim.elementary_fims(sens, sensors, range(7), gram_p)
+        tensor_p = fim.elementary_fims(replay(sens), sensors, range(7), gram_p)
         assert np.array_equal(gram_p, gram[np.ix_(perm, perm)])
         w = np.ones(tensor.n_weights)
         ref = numerics.generalized_eig(fim.combine(w, tensor), gram)
@@ -188,7 +212,7 @@ class TestMetamorphic:
         # models reorders the tensor's sensor axis and changes no bit
         _, sensors, sens, gram, tensor = problem
         perm = [1, 0]
-        got = fim.elementary_fims(sens, [sensors[i] for i in perm], range(7), gram)
+        got = fim.elementary_fims(replay(sens), [sensors[i] for i in perm], range(7), gram)
         assert np.array_equal(got.matrices, tensor.matrices[perm])
 
 
@@ -232,7 +256,7 @@ class TestCombine:
 class TestAggregateSpatial:
     def test_single_instant_identity(self, problem):
         _, sensors, sens, gram, _ = problem
-        tensor = fim.elementary_fims(sens, sensors, [4], gram)
+        tensor = fim.elementary_fims(replay(sens), sensors, [4], gram)
         agg = fim.spatial_tensor(tensor).matrices[:, 0]
         assert np.array_equal(agg, tensor.matrices[:, 0])
 
@@ -388,3 +412,33 @@ class TestTimeStep:
         first, second = -np.diff(phis)
         assert first > 0.0 and second > 0.0
         assert 1.5 <= first / second <= 2.5
+
+
+MEMORY_SCRIPT = """
+import resource, sys
+from diffdesign import config, pipeline
+
+pipe = pipeline.Pipeline(config.load_config(
+    {"geometry": {"h": 0.09}, "physics": {"n_steps": int(sys.argv[1])}}), ".", log=False)
+pipe.forward(), pipe.gramian()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+pipe.tensor()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+class TestMemory:
+    def test_march_memory_does_not_grow_with_n_steps(self, tmp_path):
+        # the peak resident size that building the tensor adds (KiB), at 20
+        # and at 400 steps on 464 nodes. Only the tensor itself grows with
+        # the steps: 8 sensors x 401 instants x 81 entries x 8 B = 2.1 MB. A
+        # stored (9, n_steps + 1, 464) sensitivity block would add 13.4 MB
+        growth = {}
+        for n_steps in (20, 400):
+            proc = subprocess.run(
+                [sys.executable, "-c", MEMORY_SCRIPT, str(n_steps)], cwd=tmp_path,
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+            assert proc.returncode == 0, proc.stderr
+            growth[n_steps] = int(proc.stdout.split()[-1]) / 1024
+        assert growth[400] - growth[20] < 5.0, growth
